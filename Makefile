@@ -5,7 +5,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-faults test-hangs slo-smoke serve-smoke serve-chaos chaos-smoke bench bench-engine bench-serve bench-campaign bench-match bench-obs match-smoke serve report engine-stats campaign examples docs-check all clean
+.PHONY: install test test-faults test-hangs slo-smoke serve-smoke serve-chaos chaos-smoke bench bench-engine bench-serve bench-campaign bench-match bench-obs match-smoke perfbench-smoke serve report engine-stats campaign examples docs-check all clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -78,7 +78,25 @@ match-smoke:
 	$(PYTHON) -m pytest -x -q tests/test_match_signature.py \
 		tests/test_match_index.py tests/test_match_synth.py \
 		tests/test_match_builder.py tests/test_match_repair.py \
-		tests/test_match_cli.py tests/test_match_exactness.py
+		tests/test_match_cli.py tests/test_match_exactness.py \
+		tests/test_match_sketch.py
+
+# Benchmark smoke (the CI match-smoke job): every perfbench workload for
+# one second untraced, then synth-match once traced, so a wrong output
+# or a renamed function the traced run wraps fails here rather than in
+# a full benchmark run.  The last stdout line of each run must report
+# correct outputs and no failed operation.
+PERFBENCH_RUNS = catalog-generate:0 catalog-campaign:0 synth-match:0 synth-match:1
+
+perfbench-smoke:
+	@for run in $(PERFBENCH_RUNS); do \
+		workload=$${run%:*}; trace=$${run#*:}; \
+		echo "perfbench-smoke: $$workload --trace $$trace"; \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 7 \
+			--seconds 1 --trace $$trace | tail -n 1 | $(PYTHON) -c \
+			'import json, sys; r = json.loads(sys.stdin.read()); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else "perfbench-smoke: " + json.dumps(r))' \
+			|| exit 1; \
+	done
 
 # Serving acceptance smoke (the CI serve-smoke job): start a real
 # `repro-cli serve` process, fire a concurrent loadgen burst, scrape

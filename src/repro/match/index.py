@@ -41,7 +41,11 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.core.examples import DataExample
-from repro.match.signature import (
+# ``input_tokens`` is not called here (a sketch takes the input tokens
+# from the same pass as ``behavior_tokens``), but it stays a name of this
+# module next to the other sketch functions.
+from repro.match.signature import (  # noqa: F401
+    MinHashRows,
     MinHashSignature,
     SignatureConfig,
     band_keys,
@@ -112,6 +116,11 @@ class SignatureIndex:
     Queries are deterministic: candidate lists are sorted, and the same
     sequence of :meth:`add` calls (any order) yields the same answers.
 
+    Each index owns a :class:`~repro.match.signature.MinHashRows` memo,
+    so a distinct behavior token is hashed and mixed once per index, and
+    keeps every indexed entry's band keys, so they are hashed once per
+    entry.
+
     Attributes:
         config: The signature/banding shape; all entries must be
             sketched with the same config (``add`` recomputes or
@@ -120,6 +129,7 @@ class SignatureIndex:
 
     config: SignatureConfig = field(default_factory=SignatureConfig)
     _entries: "dict[str, IndexedModule]" = field(default_factory=dict)
+    _band_keys: "dict[str, tuple[int, ...]]" = field(default_factory=dict)
     _band_buckets: "dict[tuple, set[str]]" = field(
         default_factory=lambda: defaultdict(set)
     )
@@ -130,6 +140,9 @@ class SignatureIndex:
         default_factory=lambda: defaultdict(set)
     )
 
+    def __post_init__(self) -> None:
+        self._rows = MinHashRows(self.config)
+
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -137,20 +150,28 @@ class SignatureIndex:
         return module_id in self._entries
 
     # ------------------------------------------------------------------
+    def sketch(
+        self, module: Module, examples: "list[DataExample] | tuple[DataExample, ...]"
+    ) -> IndexedModule:
+        """``module``'s entry, sketched with this index's row memo but not
+        indexed (the path of queries that are not in the index)."""
+        inputs: "set[int]" = set()
+        tokens = behavior_tokens(examples, input_sink=inputs)
+        return IndexedModule(
+            module_id=module.module_id,
+            shape=(len(module.inputs), len(module.outputs)),
+            signature=compute_signature(
+                examples, self.config, tokens=tokens, rows=self._rows
+            ),
+            tokens=tokens,
+            input_tokens=frozenset(inputs),
+        )
+
     def add_module(
         self, module: Module, examples: "list[DataExample] | tuple[DataExample, ...]"
     ) -> IndexedModule:
         """Sketch ``module``'s examples and index the entry."""
-        shape = (len(module.inputs), len(module.outputs))
-        signature = compute_signature(examples, self.config)
-        tokens = behavior_tokens(examples)
-        entry = IndexedModule(
-            module_id=module.module_id,
-            shape=shape,
-            signature=signature,
-            tokens=tokens,
-            input_tokens=input_tokens(examples),
-        )
+        entry = self.sketch(module, examples)
         self.add(entry)
         return entry
 
@@ -167,8 +188,10 @@ class SignatureIndex:
             )
         if entry.module_id in self._entries:
             self.remove(entry.module_id)
+        keys = band_keys(entry.signature, self.config)
         self._entries[entry.module_id] = entry
-        for band, key in enumerate(band_keys(entry.signature, self.config)):
+        self._band_keys[entry.module_id] = keys
+        for band, key in enumerate(keys):
             self._band_buckets[(entry.shape, band, key)].add(entry.module_id)
         for token in entry.tokens:
             self._token_buckets[(entry.shape, token)].add(entry.module_id)
@@ -180,7 +203,7 @@ class SignatureIndex:
         entry = self._entries.pop(module_id, None)
         if entry is None:
             return
-        for band, key in enumerate(band_keys(entry.signature, self.config)):
+        for band, key in enumerate(self._band_keys.pop(module_id)):
             bucket = self._band_buckets.get((entry.shape, band, key))
             if bucket is not None:
                 bucket.discard(module_id)
@@ -224,8 +247,15 @@ class SignatureIndex:
         return sorted(self._candidate_set(entry))
 
     def _candidate_set(self, entry: IndexedModule) -> "set[str]":
+        # Stored keys answer only for the indexed entry itself; another
+        # entry under the same id (a re-sketch, a foreign record) hashes
+        # its own.
+        if self._entries.get(entry.module_id) is entry:
+            keys = self._band_keys[entry.module_id]
+        else:
+            keys = band_keys(entry.signature, self.config)
         found: "set[str]" = set()
-        for band, key in enumerate(band_keys(entry.signature, self.config)):
+        for band, key in enumerate(keys):
             found.update(self._band_buckets.get((entry.shape, band, key), ()))
         for token in entry.tokens:
             found.update(self._token_buckets.get((entry.shape, token), ()))

@@ -29,7 +29,6 @@ from repro.core.matching import (
     map_parameters,
 )
 from repro.match.index import IndexedModule, SignatureIndex
-from repro.match.signature import behavior_tokens, compute_signature, input_tokens
 from repro.modules.model import Module, ModuleContext
 
 _ORDER = {"equivalent": 0, "overlapping": 1, "disjoint": 2}
@@ -141,13 +140,8 @@ class CandidateMatcher:
         indexed = self.index.entry(module.module_id)
         if indexed is not None:
             return indexed
-        examples = self.examples_by_id.get(module.module_id, [])
-        return IndexedModule(
-            module_id=module.module_id,
-            shape=(len(module.inputs), len(module.outputs)),
-            signature=compute_signature(examples, self.index.config),
-            tokens=behavior_tokens(examples),
-            input_tokens=input_tokens(examples),
+        return self.index.sketch(
+            module, self.examples_by_id.get(module.module_id, [])
         )
 
     def candidate_ids(self, module_id: str) -> "list[str]":

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
+from array import array
 from dataclasses import dataclass
 
 from repro.core.examples import DataExample
@@ -67,6 +69,26 @@ def _mix64(value: int) -> int:
     return value ^ (value >> 31)
 
 
+#: ``json.dumps(value, sort_keys=True)`` without building an encoder per
+#: call (same output).
+_sorted_json = json.JSONEncoder(sort_keys=True).encode
+
+
+def _canonical_dumps(bindings) -> "list[str]":
+    """The sorted canonical JSON forms of the bindings' payloads — the one
+    canonicalization pass both tokens of an example are hashed from."""
+    return sorted(_sorted_json(_canonical_payload(b.value.payload)) for b in bindings)
+
+
+def _behavior_hash(inputs: "list[str]", outputs: "list[str]") -> int:
+    document = _sorted_json({"in": inputs, "out": outputs})
+    return _blake64(document.encode("utf-8"), salt=b"repro-behavior")
+
+
+def _input_hash(inputs: "list[str]") -> int:
+    return _blake64(json.dumps(inputs).encode("utf-8"), salt=b"repro-inputs")
+
+
 def behavior_token(example: DataExample) -> int:
     """The 64-bit behavior token of one data example.
 
@@ -77,27 +99,31 @@ def behavior_token(example: DataExample) -> int:
     (the relaxed Figure 7 case) therefore produce identical tokens for
     identical behavior.
     """
-    document = json.dumps(
-        {
-            "in": sorted(
-                json.dumps(_canonical_payload(b.value.payload), sort_keys=True)
-                for b in example.inputs
-            ),
-            "out": sorted(
-                json.dumps(_canonical_payload(b.value.payload), sort_keys=True)
-                for b in example.outputs
-            ),
-        },
-        sort_keys=True,
+    return _behavior_hash(
+        _canonical_dumps(example.inputs), _canonical_dumps(example.outputs)
     )
-    return _blake64(document.encode("utf-8"), salt=b"repro-behavior")
 
 
-def behavior_tokens(examples: "list[DataExample] | tuple[DataExample, ...]") -> "frozenset[int]":
+def behavior_tokens(
+    examples: "list[DataExample] | tuple[DataExample, ...]",
+    *,
+    input_sink: "set[int] | None" = None,
+) -> "frozenset[int]":
     """The behavior token *set* of a module's examples (duplicates — the
     same observed behavior exercised twice — collapse, as Jaccard
-    similarity is a set measure)."""
-    return frozenset(behavior_token(example) for example in examples)
+    similarity is a set measure).
+
+    When ``input_sink`` is given, each example's :func:`input_token` is
+    added to it from the same canonicalization pass, so an index sketch
+    dumps every payload once rather than once per token kind.
+    """
+    tokens = set()
+    for example in examples:
+        inputs = _canonical_dumps(example.inputs)
+        tokens.add(_behavior_hash(inputs, _canonical_dumps(example.outputs)))
+        if input_sink is not None:
+            input_sink.add(_input_hash(inputs))
+    return frozenset(tokens)
 
 
 def input_token(example: DataExample) -> int:
@@ -110,13 +136,7 @@ def input_token(example: DataExample) -> int:
     these tokens so genuinely overlapping pairs whose *agreeing*
     examples happen not to coincide are still candidates (the
     output-inclusive token tier only fires on shared agreement)."""
-    document = json.dumps(
-        sorted(
-            json.dumps(_canonical_payload(b.value.payload), sort_keys=True)
-            for b in example.inputs
-        )
-    )
-    return _blake64(document.encode("utf-8"), salt=b"repro-inputs")
+    return _input_hash(_canonical_dumps(example.inputs))
 
 
 def input_tokens(examples: "list[DataExample] | tuple[DataExample, ...]") -> "frozenset[int]":
@@ -192,9 +212,40 @@ class MinHashSignature:
         return agree / len(self.values)
 
 
+class MinHashRows:
+    """The permuted minhash rows of each distinct behavior token, for one
+    :class:`SignatureConfig`, computed on a token's first use.
+
+    A token's rows are one blake2b base hash (salted by ``config.seed``)
+    spread over ``config.width`` rows by the splitmix64 mixer, stored as
+    an ``array('Q')`` (about 0.6 KB per token at the default width).  A
+    signature is the element-wise minimum over its tokens' rows, so a
+    token shared by many modules is hashed and mixed once.  Each
+    :class:`~repro.match.index.SignatureIndex` owns one and frees it with
+    the index; nothing is shared between indexes or runs.
+    """
+
+    def __init__(self, config: SignatureConfig) -> None:
+        self.config = config
+        self._salt = f"repro-minhash-{config.seed}".encode()
+        self._offsets = [_mix64(row + 1) for row in range(config.width)]
+        self._rows: "dict[int, array[int]]" = {}
+
+    def rows(self, token: int) -> "array[int]":
+        rows = self._rows.get(token)
+        if rows is None:
+            base = _blake64(token.to_bytes(8, "big"), salt=self._salt)
+            rows = array("Q", [_mix64(base ^ offset) for offset in self._offsets])
+            self._rows[token] = rows
+        return rows
+
+
 def compute_signature(
     examples: "list[DataExample] | tuple[DataExample, ...]",
     config: SignatureConfig = SignatureConfig(),
+    *,
+    tokens: "frozenset[int] | None" = None,
+    rows: "MinHashRows | None" = None,
 ) -> MinHashSignature:
     """Sketch a module's examples into a minhash signature.
 
@@ -202,19 +253,24 @@ def compute_signature(
     ``config.seed``); the per-row permuted values are then derived with
     the splitmix64 mixer, so cost is O(tokens + tokens·width integer
     mixes) rather than O(tokens·width) cryptographic hashes.
+
+    Args:
+        tokens: The examples' behavior tokens when the caller already
+            has them (they are not recomputed).
+        rows: A row memo for ``config`` to read and fill; tokens it has
+            seen cost only the element-wise minimum.  A throwaway memo
+            is used when omitted.
     """
-    tokens = behavior_tokens(examples)
+    if tokens is None:
+        tokens = behavior_tokens(examples)
     if not tokens:
         return MinHashSignature(values=(EMPTY_ROW,) * config.width, n_tokens=0)
-    salt = f"repro-minhash-{config.seed}".encode()
-    seeded = [
-        _blake64(token.to_bytes(8, "big"), salt=salt) for token in sorted(tokens)
-    ]
-    values = []
-    for row in range(config.width):
-        row_offset = _mix64(row + 1)
-        values.append(min(_mix64(base ^ row_offset) for base in seeded))
-    return MinHashSignature(values=tuple(values), n_tokens=len(tokens))
+    if rows is None:
+        rows = MinHashRows(config)
+    elif rows.config != config:
+        raise ValueError(f"row memo is for {rows.config}, not {config}")
+    values = tuple(map(min, zip(*map(rows.rows, tokens))))
+    return MinHashSignature(values=values, n_tokens=len(tokens))
 
 
 def band_keys(
@@ -227,10 +283,12 @@ def band_keys(
     """
     if signature.is_empty:
         return ()
-    rows = config.rows_per_band
-    keys = []
-    for band in range(config.bands):
-        chunk = signature.values[band * rows : (band + 1) * rows]
-        document = b"".join(value.to_bytes(8, "big") for value in chunk)
-        keys.append(_blake64(document, salt=f"repro-band-{band}".encode()))
-    return tuple(keys)
+    packed = struct.pack(f">{len(signature.values)}Q", *signature.values)
+    step = 8 * config.rows_per_band
+    return tuple(
+        _blake64(
+            packed[band * step : (band + 1) * step],
+            salt=f"repro-band-{band}".encode(),
+        )
+        for band in range(config.bands)
+    )

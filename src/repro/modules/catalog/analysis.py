@@ -814,7 +814,11 @@ def build_analysis_modules():
     def composition_profile(kind, sequence):
         return {
             "kind": kind,
-            "most_common": max(set(sequence), key=sequence.count),
+            # Ties go to the smallest symbol: iterating a set of str
+            # follows the per-process hash seed.
+            "most_common": min(
+                set(sequence), key=lambda symbol: (-sequence.count(symbol), symbol)
+            ),
             "length": str(len(sequence)),
         }
 

@@ -183,6 +183,14 @@ def serve_replica_main(spec: dict) -> int:
         0 after a graceful drain; the process never returns from a
         chaos kill (``os._exit``) or a crash.
     """
+    # Signal handlers only bind in the main thread, which then parks on
+    # this event: SIGTERM/SIGINT request a graceful drain.  They are
+    # installed before the slow start-up below, so a SIGTERM that arrives
+    # while the replica is still starting drains it instead of killing it.
+    stop = threading.Event()
+    signal.signal(signal.SIGTERM, lambda *_: stop.set())
+    signal.signal(signal.SIGINT, lambda *_: stop.set())
+
     from repro.obs.profiler import PROFILE_EVENT_KIND, maybe_start_profiler
 
     replica = spec["replica"]
@@ -195,12 +203,6 @@ def serve_replica_main(spec: dict) -> int:
     # collected profile is journaled at drain time so `repro-cli
     # profile --serve` reconstructs the fleet's time breakdown offline.
     profiler = maybe_start_profiler()
-
-    # Signal handlers only bind in the main thread, which then parks on
-    # this event: SIGTERM/SIGINT request a graceful drain.
-    stop = threading.Event()
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    signal.signal(signal.SIGINT, lambda *_: stop.set())
 
     heartbeat = _ReplicaHeartbeat(
         store, server, replica, attempt, spec["heartbeat_interval"]
@@ -521,22 +523,37 @@ class ServeSupervisor:
                 continue
             self._drain_one(state)
             self._spawn(state, kind="rolling-restart")
-            deadline = self._wall() + settle_timeout
-            while self._wall() < deadline:
-                status = self.store.replica_status(state.replica)
-                if (
-                    status is not None
-                    and status["attempt"] == state.attempt
-                    and status["phase"] == "running"
-                ):
-                    break
-                self._sleep(min(0.05, self.fleet.heartbeat_interval))
-            else:
+            if not self._await_running(state, settle_timeout):
                 ok = False
         self.store.record_event(
             FLEET, "rolling-restart", "complete" if ok else "timed out"
         )
         return ok
+
+    def _await_running(self, state: _ReplicaState, timeout: float) -> bool:
+        """Wait until the replica's current attempt has reported
+        ``running``; False when it died first or ``timeout`` passed.
+
+        A replica installs its SIGTERM handler early in
+        :func:`serve_replica_main`, but the spawned interpreter starts
+        and imports before that, and a SIGTERM then kills it.  So a
+        replica is signalled only once it has reported ``running``.
+        """
+        deadline = self._wall() + timeout
+        while True:
+            status = self.store.replica_status(state.replica)
+            if (
+                status is not None
+                and status["attempt"] == state.attempt
+                and status["phase"] == "running"
+            ):
+                return True
+            process = state.process
+            if self._wall() >= deadline or (
+                process is not None and not process.is_alive()
+            ):
+                return False
+            self._sleep(min(0.05, self.fleet.heartbeat_interval))
 
     def _drain_one(self, state: _ReplicaState) -> bool:
         """SIGTERM one replica and wait out its drain; kill stragglers.
@@ -544,6 +561,7 @@ class ServeSupervisor:
         Returns True when the replica exited 0 (graceful drain) inside
         the deadline.
         """
+        self._await_running(state, self.fleet.drain_timeout)
         process = state.process
         state.process = None
         if process is None or not process.is_alive():
@@ -579,6 +597,9 @@ class ServeSupervisor:
             for state in self._states
             if state.process is not None and state.process.is_alive()
         ]
+        startup_deadline = self._wall() + self.fleet.drain_timeout
+        for state in live:
+            self._await_running(state, max(0.0, startup_deadline - self._wall()))
         for state in live:
             state.process.terminate()
         graceful = True

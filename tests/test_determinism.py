@@ -39,6 +39,20 @@ for example in report.examples:
           sorted(example.outputs[0].value.payload))
 """
 
+# Every input has tied symbol counts, so the reported most common symbol
+# is decided by the tie-break alone.
+_COMPOSITION_SNIPPET = """
+from repro import default_catalog, default_context
+from repro.values.instances import TypedValue
+ctx = default_context(2014)
+module = {m.module_id: m for m in default_catalog()}["an.composition_profile"]
+parameter = module.inputs[0]
+for sequence in ("ACGTACGT", "TTGGCCAA", "GATTACAGATTACA", "MKVLAAGG"):
+    value = TypedValue(sequence, parameter.structural, parameter.concept)
+    outputs = module.invoke(ctx, {parameter.name: value})
+    print(sequence, sorted((k, v.payload) for k, v in outputs.items()))
+"""
+
 
 @pytest.mark.slow
 class TestCrossProcessDeterminism:
@@ -51,6 +65,13 @@ class TestCrossProcessDeterminism:
         first = _run_snippet(_EXAMPLES_SNIPPET, "1")
         second = _run_snippet(_EXAMPLES_SNIPPET, "99999")
         assert first == second
+
+    def test_composition_profile_ties_identical_across_hash_seeds(self):
+        first = _run_snippet(_COMPOSITION_SNIPPET, "0")
+        second = _run_snippet(_COMPOSITION_SNIPPET, "2")
+        assert first == second
+        # Tied counts go to the lexicographically smallest symbol.
+        assert all(r"most_common\tA\n" in line for line in first.splitlines())
 
 
 class TestInProcessDeterminism:

@@ -124,6 +124,63 @@ class TestFleetServes:
         supervisor.close()
 
 
+# A replica process that SIGTERMs itself while it is still starting up:
+# inside the first ServeStateStore construction, before it has reported
+# `running`.  Run as a script so the signal reaches a real main thread.
+_STARTUP_SIGTERM_SCRIPT = """
+import json, os, signal, sys
+import repro.serve.fleet as fleet
+
+class SignalledDuringStartup(fleet.ServeStateStore):
+    sent = False
+
+    def __init__(self, *args, **kwargs):
+        if not SignalledDuringStartup.sent:
+            SignalledDuringStartup.sent = True
+            os.kill(os.getpid(), signal.SIGTERM)
+        super().__init__(*args, **kwargs)
+
+fleet.ServeStateStore = SignalledDuringStartup
+sys.exit(fleet.serve_replica_main(json.loads(sys.argv[1])))
+"""
+
+
+class TestStartupSignals:
+    def test_sigterm_during_startup_drains_the_replica(self, tmp_path):
+        from dataclasses import asdict
+
+        from repro.serve.state import ServeStateStore
+
+        db = tmp_path / "fleet.db"
+        config = ServeConfig(
+            host="127.0.0.1", port=0, state_db=str(db), reuse_port=True,
+            replica=0,
+        )
+        spec = {
+            "replica": 0,
+            "attempt": 1,
+            "serve_config": asdict(config),
+            "service": {"seed": 2014},
+            "heartbeat_interval": 0.2,
+            "drain_timeout": 5.0,
+        }
+        root = Path(__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-c", _STARTUP_SIGTERM_SCRIPT, json.dumps(spec)],
+            capture_output=True, text=True, cwd=root, env=_cli_env(root),
+            timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        store = ServeStateStore(str(db))
+        try:
+            kinds = [event["kind"] for event in store.events()]
+            assert "drain" in kinds
+            assert kinds[-1] == "drained"
+            assert store.replica_status(0)["phase"] == "drained"
+        finally:
+            store.close()
+
+
 class TestCrashRecovery:
     def test_sigkilled_replica_is_respawned(self, tmp_path):
         supervisor = _supervisor(tmp_path / "fleet.db", replicas=2).start()
