@@ -31,6 +31,49 @@ def _generator(ctx, pool, **config) -> ExampleGenerator:
     return ExampleGenerator(ctx, pool, engine=InvocationEngine(EngineConfig(**config)))
 
 
+def _paired_overhead(label: str, run_plain, run_costly) -> float:
+    """Relative wall-clock overhead of ``run_costly`` over ``run_plain``.
+
+    One estimate is the median paired delta over the median base of ten
+    alternating back-to-back pairs; the best of up to five estimates is
+    returned, sampling stopping early once one lands under 0.04.  The
+    estimates are printed under ``label``.  See
+    :func:`test_engine_tracing_overhead_bounded` for why.
+    """
+
+    def timed(run) -> float:
+        start = time.perf_counter()
+        run()
+        return time.perf_counter() - start
+
+    def estimate() -> float:
+        deltas, bases = [], []
+        for pair in range(10):
+            if pair % 2:
+                cost, base = timed(run_costly), timed(run_plain)
+            else:
+                base, cost = timed(run_plain), timed(run_costly)
+            deltas.append(cost - base)
+            bases.append(base)
+        deltas.sort()
+        bases.sort()
+        return deltas[len(deltas) // 2] / bases[len(bases) // 2]
+
+    estimates: "list[float]" = []
+    for _attempt in range(5):
+        estimates.append(estimate())
+        if min(estimates) < 0.04:
+            break
+        time.sleep(1.0)  # let a noisy-machine burst pass before resampling
+    overhead = min(estimates)
+    print(
+        f"\n{label}: {overhead:+.1%} "
+        f"(best of {len(estimates)} ten-pair median estimates: "
+        f"{', '.join(f'{e:+.1%}' for e in estimates)})"
+    )
+    return overhead
+
+
 def test_bench_engine_serial(benchmark, setup):
     generator = _generator(setup.ctx, setup.pool)
     reports = benchmark(generator.generate_many, setup.catalog)
@@ -133,35 +176,10 @@ def test_engine_tracing_overhead_bounded(setup):
     traced_reports = traced.generate_many(sample)
     assert traced_reports == untraced_reports
 
-    def timed(generator) -> float:
-        start = time.perf_counter()
-        generator.generate_many(sample)
-        return time.perf_counter() - start
-
-    def estimate() -> float:
-        deltas, bases = [], []
-        for pair in range(10):
-            if pair % 2:
-                cost, base = timed(traced), timed(untraced)
-            else:
-                base, cost = timed(untraced), timed(traced)
-            deltas.append(cost - base)
-            bases.append(base)
-        deltas.sort()
-        bases.sort()
-        return deltas[len(deltas) // 2] / bases[len(bases) // 2]
-
-    estimates: "list[float]" = []
-    for _attempt in range(5):
-        estimates.append(estimate())
-        if min(estimates) < 0.04:
-            break
-        time.sleep(1.0)  # let a noisy-machine burst pass before resampling
-    overhead = min(estimates)
-    print(
-        f"\ntracing overhead: {overhead:+.1%} "
-        f"(best of {len(estimates)} ten-pair median estimates: "
-        f"{', '.join(f'{e:+.1%}' for e in estimates)})"
+    overhead = _paired_overhead(
+        "tracing overhead",
+        lambda: untraced.generate_many(sample),
+        lambda: traced.generate_many(sample),
     )
     assert overhead < 0.05
 
@@ -176,9 +194,8 @@ def test_engine_sampling_overhead_bounded(setup):
     The gate is the one :class:`repro.campaign.runner.CampaignRunner`
     ships — a clock check per module, a snapshot only when the interval
     has elapsed — so the number measured here is the number campaigns
-    pay.  Same estimator as :func:`test_engine_tracing_overhead_bounded`:
-    alternating back-to-back pairs, median paired delta over median
-    base, best of up to five independent estimates.
+    pay.  Same estimator (:func:`_paired_overhead`) as
+    :func:`test_engine_tracing_overhead_bounded`.
     """
     from repro.obs.slo import SLOEvaluator
     from repro.obs.timeseries import CampaignSampler
@@ -209,36 +226,7 @@ def test_engine_sampling_overhead_bounded(setup):
     assert run_sampled() == run_plain()  # warm both paths, same content
     assert len(sampler.ring) > 0
 
-    def timed(run) -> float:
-        start = time.perf_counter()
-        run()
-        return time.perf_counter() - start
-
-    def estimate() -> float:
-        deltas, bases = [], []
-        for pair in range(10):
-            if pair % 2:
-                cost, base = timed(run_sampled), timed(run_plain)
-            else:
-                base, cost = timed(run_plain), timed(run_sampled)
-            deltas.append(cost - base)
-            bases.append(base)
-        deltas.sort()
-        bases.sort()
-        return deltas[len(deltas) // 2] / bases[len(bases) // 2]
-
-    estimates: "list[float]" = []
-    for _attempt in range(5):
-        estimates.append(estimate())
-        if min(estimates) < 0.04:
-            break
-        time.sleep(1.0)  # let a noisy-machine burst pass before resampling
-    overhead = min(estimates)
-    print(
-        f"\nsampling overhead: {overhead:+.1%} "
-        f"(best of {len(estimates)} ten-pair median estimates: "
-        f"{', '.join(f'{e:+.1%}' for e in estimates)})"
-    )
+    overhead = _paired_overhead("sampling overhead", run_plain, run_sampled)
     assert overhead < 0.05
 
 
@@ -249,9 +237,8 @@ def test_engine_profiler_overhead_bounded(setup):
 
     50 Hz is the rate ``REPRO_PROFILE_HZ=50`` arms fleet-wide, so the
     number measured here is the number replicas and shard workers pay.
-    Same estimator as :func:`test_engine_tracing_overhead_bounded`:
-    alternating back-to-back pairs, median paired delta over median
-    base, best of up to five independent estimates.
+    Same estimator (:func:`_paired_overhead`) as
+    :func:`test_engine_tracing_overhead_bounded`.
     """
     from repro.obs.profiler import SamplingProfiler
 
@@ -268,35 +255,8 @@ def test_engine_profiler_overhead_bounded(setup):
 
     assert run_profiled() == baseline_reports
 
-    def timed(run) -> float:
-        start = time.perf_counter()
-        run()
-        return time.perf_counter() - start
-
-    def estimate() -> float:
-        deltas, bases = [], []
-        for pair in range(10):
-            if pair % 2:
-                cost, base = timed(run_profiled), timed(run_plain)
-            else:
-                base, cost = timed(run_plain), timed(run_profiled)
-            deltas.append(cost - base)
-            bases.append(base)
-        deltas.sort()
-        bases.sort()
-        return deltas[len(deltas) // 2] / bases[len(bases) // 2]
-
-    estimates: "list[float]" = []
-    for _attempt in range(5):
-        estimates.append(estimate())
-        if min(estimates) < 0.04:
-            break
-        time.sleep(1.0)  # let a noisy-machine burst pass before resampling
-    overhead = min(estimates)
-    print(
-        f"\nprofiler overhead at 50 Hz: {overhead:+.1%} "
-        f"(best of {len(estimates)} ten-pair median estimates: "
-        f"{', '.join(f'{e:+.1%}' for e in estimates)})"
+    overhead = _paired_overhead(
+        "profiler overhead at 50 Hz", run_plain, run_profiled
     )
     assert overhead < 0.05
 

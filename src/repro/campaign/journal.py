@@ -112,6 +112,34 @@ CREATE TABLE IF NOT EXISTS shard_status (
 """
 
 
+def open_wal(
+    path: str,
+    schema: str,
+    busy_timeout: float = 10.0,
+    isolation_level: "str | None" = "",
+) -> sqlite3.Connection:
+    """Open a SQLite file several processes write and apply ``schema``
+    (the one opener of journals and the serving store).
+    ``isolation_level`` is :func:`sqlite3.connect`'s: ``""`` or ``None``
+    (autocommit).  Callers serialize access across threads."""
+    connection = sqlite3.connect(
+        path,
+        timeout=busy_timeout,
+        check_same_thread=False,
+        isolation_level=isolation_level,
+    )
+    with connection:
+        connection.execute(f"PRAGMA busy_timeout = {int(busy_timeout * 1000)}")
+        # WAL survives in the database file; synchronous=NORMAL is the
+        # WAL-recommended durability level — commits survive a process
+        # kill (the case journals defend against), and only an OS crash
+        # can lose the tail of the log.
+        connection.execute("PRAGMA journal_mode = WAL")
+        connection.execute("PRAGMA synchronous = NORMAL")
+        connection.executescript(schema)
+    return connection
+
+
 # ----------------------------------------------------------------------
 # GenerationReport <-> JSON
 # ----------------------------------------------------------------------
@@ -261,20 +289,7 @@ class CampaignJournal:
     def __init__(self, path: "str | Path", busy_timeout: float = 10.0) -> None:
         self.path = str(path)
         self._lock = threading.Lock()
-        self._connection = sqlite3.connect(
-            self.path, timeout=busy_timeout, check_same_thread=False
-        )
-        with self._lock, self._connection:
-            self._connection.execute(
-                f"PRAGMA busy_timeout = {int(busy_timeout * 1000)}"
-            )
-            # WAL survives in the database file; synchronous=NORMAL is
-            # the WAL-recommended durability level — commits survive a
-            # process kill (the case campaigns defend against), and only
-            # an OS crash can lose the tail of the log.
-            self._connection.execute("PRAGMA journal_mode = WAL")
-            self._connection.execute("PRAGMA synchronous = NORMAL")
-            self._connection.executescript(_SCHEMA)
+        self._connection = open_wal(self.path, _SCHEMA, busy_timeout)
 
     def close(self) -> None:
         with self._lock:

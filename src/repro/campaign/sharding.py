@@ -154,27 +154,30 @@ def assemble_result(
 # ----------------------------------------------------------------------
 # Read-only worker views (CLI `campaign workers`, `top`, Prometheus)
 # ----------------------------------------------------------------------
+def shard_status(
+    db_path: "str | os.PathLike", campaign_id: str, shard: int
+) -> "dict | None":
+    """The latest heartbeat row of one shard (``None`` while its shard
+    journal does not exist yet or holds no heartbeat)."""
+    path = shard_journal_path(db_path, shard)
+    if not os.path.exists(str(path)):
+        return None
+    shard_journal = CampaignJournal(path)
+    try:
+        return shard_journal.shard_status(
+            shard_campaign_id(campaign_id, shard), shard
+        )
+    finally:
+        shard_journal.close()
+
+
 def shard_statuses(
     db_path: "str | os.PathLike", campaign_id: str, n_shards: int
 ) -> "list[dict | None]":
-    """The latest heartbeat row of every shard (``None`` where a shard
-    journal does not exist yet or holds no heartbeat)."""
-    statuses: "list[dict | None]" = []
-    for shard in range(n_shards):
-        path = shard_journal_path(db_path, shard)
-        if not os.path.exists(str(path)):
-            statuses.append(None)
-            continue
-        shard_journal = CampaignJournal(path)
-        try:
-            statuses.append(
-                shard_journal.shard_status(
-                    shard_campaign_id(campaign_id, shard), shard
-                )
-            )
-        finally:
-            shard_journal.close()
-    return statuses
+    """The latest heartbeat row of every shard (see :func:`shard_status`)."""
+    return [
+        shard_status(db_path, campaign_id, shard) for shard in range(n_shards)
+    ]
 
 
 def worker_rows(

@@ -11,8 +11,10 @@ Drives a sharded multi-process campaign end to end:
    own per-shard journal.  Process chaos (kill-at-invocation-K,
    kill-rate, stall-heartbeat) is armed only on a shard's first
    attempt, so recovery always converges.
-3. **Supervise.**  A poll loop watches exit codes and heartbeat rows.
-   A worker that died (crash, chaos kill, OOM-kill) or went mute past
+3. **Supervise.**  The shared :class:`~repro.supervision.ProcessSupervisor`
+   (the serving fleet runs the same one) watches exit codes and
+   heartbeat rows.  A worker that exits 0 has finished its shard.  One
+   that died (crash, chaos kill, OOM-kill) or went mute past
    ``heartbeat_timeout`` (wedged) is SIGKILLed and its shard is
    reassigned to a fresh worker after exponential backoff — up to
    ``max_restarts`` times, after which the shard is declared degraded
@@ -34,9 +36,7 @@ merged from the per-worker snapshots journaled at heartbeat boundaries.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.campaign.journal import CampaignJournal
@@ -51,30 +51,20 @@ from repro.campaign.sharding import (
     shard_campaign_id,
     shard_journal_path,
     shard_plan,
+    shard_status,
+    shard_statuses,
 )
 from repro.campaign.worker import shard_worker_main, worker_config
 from repro.obs.propagation import TraceContext, campaign_trace_id
+from repro.supervision import Child, ProcessSupervisor, current_beat
 
 
-@dataclass
-class _ShardState:
-    """Supervision bookkeeping of one shard (in-memory only — nothing
-    here needs to survive a supervisor crash)."""
-
-    shard: int
-    module_ids: "list[str]"
-    worker: int
-    attempt: int = 0
-    restarts: int = 0
-    process: "multiprocessing.process.BaseProcess | None" = None
-    spawned_at: float = 0.0
-    restart_at: float = 0.0
-    done: bool = False
-    degraded: bool = False
-
-    @property
-    def finished(self) -> bool:
-        return self.done or self.degraded
+#: Campaign journal names of the shared supervisor's lifecycle events.
+_SHARD_KINDS = {
+    "done": "shard-done",
+    "degraded": "shard-degraded",
+    "restart-scheduled": "shard-reassign",
+}
 
 
 class CampaignSupervisor:
@@ -107,7 +97,6 @@ class CampaignSupervisor:
         self._wall = wall_clock
         self._sleep = sleep
         self._mp = multiprocessing.get_context("spawn")
-        self._next_worker = 0
 
     # ------------------------------------------------------------------
     def run(self, campaign_id: str) -> CampaignResult:
@@ -161,182 +150,91 @@ class CampaignSupervisor:
         planned: "list[str]",
         chaos_armed: bool,
     ) -> CampaignResult:
-        shards = shard_plan(planned, self.config.workers)
-        states = [
-            _ShardState(shard=index, module_ids=ids, worker=index)
-            for index, ids in enumerate(shards)
-        ]
-        self._next_worker = len(states)
-        for state in states:
-            self._spawn(journal, campaign_id, state, chaos_armed, kind="spawn")
-        self._supervise(journal, campaign_id, states, chaos_armed)
-        return self._merge(journal, campaign_id, states)
-
-    def _spawn(
-        self,
-        journal: CampaignJournal,
-        campaign_id: str,
-        state: _ShardState,
-        chaos_armed: bool,
-        kind: str,
-    ) -> None:
-        state.attempt += 1
+        self._journal = journal
+        self._campaign_id = campaign_id
+        self._shards = shard_plan(planned, self.config.workers)
+        # Shard i starts on worker i; a reassignment takes a fresh id.
+        self._workers = list(range(len(self._shards)))
         # Chaos is armed only on the shard's very first attempt of a
         # fresh run: a restarted (or resumed) worker must be allowed to
         # finish, or a kill-at-invocation plan would loop forever.
-        has_chaos = (
+        self._chaos_armed = chaos_armed and (
             self.config.chaos_kill_at > 0
             or self.config.chaos_kill_rate > 0
             or self.config.chaos_stall_after > 0
         )
-        armed = chaos_armed and state.attempt == 1 and has_chaos
+        supervisor = ProcessSupervisor(
+            len(self._shards),
+            self.config,
+            start=self._start,
+            last_beat=self._last_beat,
+            record=self._record,
+            exit_zero_done=True,
+            wall_clock=self._wall,
+        )
+        for child in supervisor.children:
+            supervisor.spawn(child, "spawn")
+        supervisor.supervise(self._sleep)
+        degraded = [child.index for child in supervisor.children if child.degraded]
+        return self._merge(journal, campaign_id, degraded)
+
+    def _start(self, child: Child, kind: str):
+        """Spawn the shard's current attempt and journal it."""
+        armed = self._chaos_armed and child.attempt == 1
+        shard = child.index
         spec = {
-            "worker": state.worker,
-            "shard": state.shard,
-            "attempt": state.attempt,
-            "journal_path": shard_journal_path(self.db_path, state.shard),
-            "campaign_id": shard_campaign_id(campaign_id, state.shard),
-            "module_ids": state.module_ids,
+            "worker": self._workers[shard],
+            "shard": shard,
+            "attempt": child.attempt,
+            "journal_path": shard_journal_path(self.db_path, shard),
+            "campaign_id": shard_campaign_id(self._campaign_id, shard),
+            "module_ids": self._shards[shard],
             "config": worker_config(self.config, chaos_armed=armed).to_dict(),
             # The campaign's trace id is *derived* from the campaign id,
             # so a resumed supervisor (fresh process, journal only)
             # stamps the same id and the fleet trace stays one trace.
             "trace_context": TraceContext(
-                trace_id=campaign_trace_id(campaign_id)
+                trace_id=campaign_trace_id(self._campaign_id)
             ).to_dict(),
         }
         process = self._mp.Process(
             target=shard_worker_main,
             args=(spec,),
-            name=f"repro-shard-{state.shard:02d}",
+            name=f"repro-shard-{shard:02d}",
         )
         process.start()
-        state.process = process
-        state.spawned_at = self._wall()
-        journal.record_worker_event(
-            campaign_id,
-            worker=state.worker,
-            shard=state.shard,
-            kind=kind,
-            detail=(
-                f"pid {process.pid} attempt {state.attempt} "
-                f"({len(state.module_ids)} modules"
-                f"{', chaos armed' if armed else ''})"
-            ),
-            t_wall=state.spawned_at,
+        self._record(
+            child,
+            kind,
+            f"pid {process.pid} attempt {child.attempt} "
+            f"({len(self._shards[shard])} modules"
+            f"{', chaos armed' if armed else ''})",
+            t_wall=child.spawned_at,
+        )
+        return process
+
+    def _last_beat(self, child: Child) -> "float | None":
+        """The shard's journaled heartbeat of its current attempt."""
+        return current_beat(
+            shard_status(self.db_path, self._campaign_id, child.index), child
         )
 
-    # ------------------------------------------------------------------
-    def _supervise(
-        self,
-        journal: CampaignJournal,
-        campaign_id: str,
-        states: "list[_ShardState]",
-        chaos_armed: bool,
+    def _record(
+        self, child: Child, kind: str, detail: str, t_wall=None
     ) -> None:
-        poll = max(0.05, min(0.2, self.config.heartbeat_interval / 2.0))
-        while not all(state.finished for state in states):
-            for state in states:
-                if state.finished:
-                    continue
-                if state.process is None:
-                    # Waiting out restart backoff.
-                    if self._wall() >= state.restart_at:
-                        self._spawn(
-                            journal, campaign_id, state, chaos_armed,
-                            kind="restart",
-                        )
-                    continue
-                exitcode = state.process.exitcode
-                if exitcode is not None:
-                    state.process.join()
-                    if exitcode == 0:
-                        state.done = True
-                        journal.record_worker_event(
-                            campaign_id,
-                            worker=state.worker,
-                            shard=state.shard,
-                            kind="shard-done",
-                            detail=f"attempt {state.attempt}",
-                        )
-                    else:
-                        journal.record_worker_event(
-                            campaign_id,
-                            worker=state.worker,
-                            shard=state.shard,
-                            kind="crash",
-                            detail=f"exit code {exitcode}",
-                        )
-                        self._schedule_restart(journal, campaign_id, state)
-                    continue
-                if self._heartbeat_stale(campaign_id, state):
-                    journal.record_worker_event(
-                        campaign_id,
-                        worker=state.worker,
-                        shard=state.shard,
-                        kind="heartbeat-miss",
-                        detail=(
-                            f"no heartbeat for "
-                            f">{self.config.heartbeat_timeout:g}s — killing "
-                            f"pid {state.process.pid}"
-                        ),
-                    )
-                    state.process.kill()
-                    state.process.join()
-                    self._schedule_restart(journal, campaign_id, state)
-            if not all(state.finished for state in states):
-                self._sleep(poll)
-
-    def _heartbeat_stale(self, campaign_id: str, state: _ShardState) -> bool:
-        """Is the shard's latest journaled heartbeat older than the
-        timeout?  Before the first beat lands, staleness is measured
-        from the spawn instant (world rebuild takes a moment)."""
-        shard_path = shard_journal_path(self.db_path, state.shard)
-        last = state.spawned_at
-        if os.path.exists(shard_path):
-            shard_journal = CampaignJournal(shard_path)
-            try:
-                status = shard_journal.shard_status(
-                    shard_campaign_id(campaign_id, state.shard), state.shard
-                )
-            finally:
-                shard_journal.close()
-            if status is not None and status["attempt"] == state.attempt:
-                last = max(last, status["heartbeat_wall"])
-        return self._wall() - last > self.config.heartbeat_timeout
-
-    def _schedule_restart(
-        self, journal: CampaignJournal, campaign_id: str, state: _ShardState
-    ) -> None:
-        state.process = None
-        if state.restarts >= self.config.max_restarts:
-            state.degraded = True
-            journal.record_worker_event(
-                campaign_id,
-                worker=state.worker,
-                shard=state.shard,
-                kind="shard-degraded",
-                detail=(
-                    f"restart budget exhausted "
-                    f"({self.config.max_restarts} restarts)"
-                ),
-            )
-            return
-        backoff = self.config.restart_backoff * (2 ** state.restarts)
-        state.restarts += 1
-        state.restart_at = self._wall() + backoff
-        old_worker, state.worker = state.worker, self._next_worker
-        self._next_worker += 1
-        journal.record_worker_event(
-            campaign_id,
-            worker=state.worker,
-            shard=state.shard,
-            kind="shard-reassign",
-            detail=(
-                f"worker {old_worker} -> {state.worker}, "
-                f"restart {state.restarts}/{self.config.max_restarts} "
-                f"after {backoff:g}s backoff"
-            ),
+        """Journal a lifecycle event; a scheduled restart also moves the
+        shard to a fresh worker id."""
+        if kind == "restart-scheduled":
+            old_worker = self._workers[child.index]
+            self._workers[child.index] = max(self._workers) + 1
+            detail = f"worker {old_worker} -> {self._workers[child.index]}, {detail}"
+        self._journal.record_worker_event(
+            self._campaign_id,
+            worker=self._workers[child.index],
+            shard=child.index,
+            kind=_SHARD_KINDS.get(kind, kind),
+            detail=detail,
+            t_wall=t_wall,
         )
 
     # ------------------------------------------------------------------
@@ -344,33 +242,31 @@ class CampaignSupervisor:
         self,
         journal: CampaignJournal,
         campaign_id: str,
-        states: "list[_ShardState]",
+        degraded: "list[int]",
     ) -> CampaignResult:
         """Deterministic journal-merge: upsert every shard's entries,
         fill degraded shards' gaps with skip rows, assemble planned-
         order.  Idempotent end to end — a supervisor SIGKILLed anywhere
         in here re-merges to the same table on resume."""
-        for state in states:
+        for shard in range(len(self._shards)):
             merge_shard_journal(
                 journal,
                 campaign_id,
-                shard_journal_path(self.db_path, state.shard),
-                shard_campaign_id(campaign_id, state.shard),
+                shard_journal_path(self.db_path, shard),
+                shard_campaign_id(campaign_id, shard),
             )
         entries = journal.entries(campaign_id)
-        for state in states:
-            if not state.degraded:
-                continue
-            for module_id in state.module_ids:
+        for shard in degraded:
+            for module_id in self._shards[shard]:
                 if module_id not in entries:
                     journal.record_skipped(
                         campaign_id,
                         module_id,
-                        f"shard {state.shard:02d} degraded "
+                        f"shard {shard:02d} degraded "
                         f"(restart budget exhausted after "
                         f"{self.config.max_restarts} restarts)",
                     )
-        breaker_states = self._merged_breaker(campaign_id, len(states))
+        breaker_states = self._merged_breaker(campaign_id, len(self._shards))
         result = assemble_result(
             journal, campaign_id, breaker_states=breaker_states
         )
@@ -385,7 +281,6 @@ class CampaignSupervisor:
         """Fold the per-worker breaker snapshots (from the journaled
         heartbeat stats) into one per-provider view for the degradation
         manifest."""
-        from repro.campaign.sharding import shard_statuses
         from repro.engine.telemetry import merge_stats_snapshots
 
         statuses = shard_statuses(self.db_path, campaign_id, n_shards)

@@ -10,14 +10,15 @@ applies verbatim inside each shard, so a worker killed mid-shard and
 respawned by the supervisor simply resumes where the journal left off.
 
 On top of the runner the worker adds exactly one thing: a heartbeat
-thread that commits a ``shard_status`` row (phase, invocation count,
+thread (:class:`repro.supervision.Heartbeat`, the one serving replicas
+run too) that commits a ``shard_status`` row (phase, invocation count,
 and the full ``engine.stats()`` snapshot) into the shard journal every
 ``heartbeat_interval`` seconds.  The snapshot row is how per-worker
 telemetry leaves the process without any shared memory; the supervisor
 merges the journaled snapshots at checkpoint boundaries.  When the
-fault plan's ``stall_heartbeat_after`` chaos trips, the thread stops
-committing while the process stays alive — the exact wedged-worker
-shape the supervisor's heartbeat timeout must catch.
+fault plan's ``stall_heartbeat_after`` chaos trips, the thread is
+muted: it stops committing while the process stays alive — the exact
+wedged-worker shape the supervisor's heartbeat timeout must catch.
 
 ``shard_worker_main`` must stay a module-level importable function:
 the supervisor spawns workers with the ``spawn`` start method (no
@@ -29,12 +30,12 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 
 from repro.campaign.journal import CampaignJournal
 from repro.campaign.runner import CampaignConfig, CampaignRunner
 from repro.obs.profiler import PROFILE_EVENT_KIND, maybe_start_profiler
 from repro.obs.propagation import TraceContext, propagation_scope
+from repro.supervision import Heartbeat
 
 
 def build_world(seed: int = 2014):
@@ -78,63 +79,6 @@ def worker_config(config: CampaignConfig, chaos_armed: bool) -> CampaignConfig:
     return replace(config, **overrides)
 
 
-class _Heartbeat(threading.Thread):
-    """Commits the worker's liveness + telemetry row on a fixed cadence."""
-
-    def __init__(
-        self,
-        journal: CampaignJournal,
-        campaign_id: str,
-        worker: int,
-        shard: int,
-        attempt: int,
-        engine,
-        interval: float,
-    ) -> None:
-        super().__init__(name=f"shard-{shard:02d}-heartbeat", daemon=True)
-        self.journal = journal
-        self.campaign_id = campaign_id
-        self.worker = worker
-        self.shard = shard
-        self.attempt = attempt
-        self.engine = engine
-        self.interval = interval
-        # NB: not named ``_stop`` — threading.Thread.join() calls an
-        # internal ``self._stop()`` method that an Event would shadow.
-        self._halt = threading.Event()
-
-    def beat(self, phase: str) -> None:
-        injector = self.engine.fault_injector
-        self.journal.record_shard_status(
-            self.campaign_id,
-            self.shard,
-            worker=self.worker,
-            pid=os.getpid(),
-            attempt=self.attempt,
-            invocations=(
-                injector.invocations
-                if injector is not None
-                else self.engine.telemetry.snapshot()["counters"].get("calls", 0)
-            ),
-            phase=phase,
-            stats=self.engine.stats(),
-        )
-
-    def run(self) -> None:
-        while not self._halt.wait(self.interval):
-            injector = self.engine.fault_injector
-            if injector is not None and injector.heartbeat_stalled.is_set():
-                # Chaos: the worker wedges silently — alive but mute.
-                continue
-            self.beat("running")
-
-    def stop(self, final_phase: "str | None" = None) -> None:
-        self._halt.set()
-        self.join(timeout=5.0)
-        if final_phase is not None:
-            self.beat(final_phase)
-
-
 def shard_worker_main(spec: dict) -> int:
     """Entry point of one spawned shard worker.
 
@@ -160,16 +104,37 @@ def shard_worker_main(spec: dict) -> int:
     journal = CampaignJournal(spec["journal_path"])
     try:
         runner = CampaignRunner(ctx, shard_modules, pool, journal, config)
-        heartbeat = _Heartbeat(
-            journal,
-            spec["campaign_id"],
-            worker=spec["worker"],
-            shard=spec["shard"],
-            attempt=spec["attempt"],
-            engine=runner.engine,
-            interval=config.heartbeat_interval,
+        engine = runner.engine
+
+        def beat(phase: str) -> None:
+            injector = engine.fault_injector
+            journal.record_shard_status(
+                spec["campaign_id"],
+                spec["shard"],
+                worker=spec["worker"],
+                pid=os.getpid(),
+                attempt=spec["attempt"],
+                invocations=(
+                    injector.invocations
+                    if injector is not None
+                    else engine.telemetry.snapshot()["counters"].get("calls", 0)
+                ),
+                phase=phase,
+                stats=engine.stats(),
+            )
+
+        def stalled() -> bool:
+            # Chaos: the worker wedges silently — alive but mute.
+            injector = engine.fault_injector
+            return injector is not None and injector.heartbeat_stalled.is_set()
+
+        heartbeat = Heartbeat(
+            beat,
+            config.heartbeat_interval,
+            f"shard-{spec['shard']:02d}-heartbeat",
+            muted=stalled,
         )
-        heartbeat.beat("running")
+        beat("running")
         heartbeat.start()
         try:
             with propagation_scope(

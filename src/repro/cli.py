@@ -672,6 +672,22 @@ def _serve_fleet(args: argparse.Namespace) -> int:
     return 0 if graceful else 1
 
 
+def _print_event_timeline(events: "list[dict]", empty: str, who) -> None:
+    """Print a supervisor's lifecycle events as ``+offset`` lines from
+    the first; ``who(event)`` renders the padded process column."""
+    if not events:
+        print(f"\n{empty}")
+        return
+    print(f"\nEVENTS ({len(events)}):")
+    t0 = events[0]["t_wall"]
+    for event in events:
+        detail = f"  {event['detail']}" if event["detail"] else ""
+        print(
+            f"  +{event['t_wall'] - t0:7.2f}s  {who(event)} "
+            f"{event['kind']}{detail}"
+        )
+
+
 def cmd_serve_fleet(args: argparse.Namespace) -> int:
     """Replica fleet status + lifecycle event timeline of a serving
     fleet, reconstructed from the shared state store alone — works while
@@ -733,21 +749,14 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
         f"\nshared state: {modules} modules, {reports} memoized reports, "
         f"{len(tenants)} tenants"
     )
-    if not events:
-        print("\nno fleet events journaled yet")
-        return 0
-    print(f"\nEVENTS ({len(events)}):")
-    t0 = events[0]["t_wall"]
-    for event in events:
-        who = (
+    _print_event_timeline(
+        events,
+        "no fleet events journaled yet",
+        lambda event: (
             "fleet" if event["replica"] == FLEET
             else f"replica {event['replica']}"
-        )
-        detail = f"  {event['detail']}" if event["detail"] else ""
-        print(
-            f"  +{event['t_wall'] - t0:7.2f}s  {who:<11} "
-            f"{event['kind']}{detail}"
-        )
+        ).ljust(11),
+    )
     return 0
 
 
@@ -1325,17 +1334,11 @@ def cmd_campaign_workers(args: argparse.Namespace) -> int:
             f"{row['phase']:<10}{row['attempt']:<5}{done:<12}"
             f"{row['invocations']:<7}{row['restarts']:<10}{heartbeat_age:<8}"
         )
-    if not events:
-        print("\nno worker events journaled yet")
-        return 0
-    print(f"\nEVENTS ({len(events)}):")
-    t0 = events[0]["t_wall"]
-    for event in events:
-        detail = f"  {event['detail']}" if event["detail"] else ""
-        print(
-            f"  +{event['t_wall'] - t0:7.2f}s  worker {event['worker']:<3} "
-            f"shard {event['shard']:<3} {event['kind']}{detail}"
-        )
+    _print_event_timeline(
+        events,
+        "no worker events journaled yet",
+        lambda event: f"worker {event['worker']:<3} shard {event['shard']:<3}",
+    )
     return 0
 
 

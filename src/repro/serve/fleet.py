@@ -1,9 +1,9 @@
 """The serving fleet: N replica processes behind one SO_REUSEPORT port.
 
 One :class:`~repro.serve.app.AnnotationServer` process caps out at its
-GIL and dies with its host process.  The fleet applies PR 7's
-supervision recipe (:class:`~repro.campaign.supervisor.CampaignSupervisor`)
-to the serving layer:
+GIL and dies with its host process.  The fleet runs the supervisor that
+sharded campaigns run (:class:`~repro.supervision.ProcessSupervisor`)
+over serving replicas:
 
 * **One port, N processes.**  Every replica binds the same TCP port
   with ``SO_REUSEPORT``; the kernel balances incoming connections
@@ -18,7 +18,8 @@ to the serving layer:
   or went heartbeat-mute is killed and respawned with exponential
   backoff, up to ``max_restarts`` times; every lifecycle event lands in
   the store's ``serve_events`` timeline for the ``repro-cli serve
-  fleet`` post-mortem.
+  fleet`` post-mortem.  Unlike a campaign shard, a replica has no
+  natural end: any exit nobody asked for — even a clean 0 — is a crash.
 * **Graceful drain.**  SIGTERM (or :meth:`ServeSupervisor.drain`)
   walks every replica through :meth:`AnnotationServer.drain`: stop
   accepting, answer everything in flight under the drain deadline,
@@ -55,6 +56,7 @@ from typing import Callable
 from repro.serve.app import AnnotationServer, ServeConfig
 from repro.serve.service import AnnotationService
 from repro.serve.state import ServeStateStore
+from repro.supervision import Child, Heartbeat, ProcessSupervisor, current_beat
 
 #: Replica index used for fleet-level (not per-replica) timeline events.
 FLEET = -1
@@ -117,55 +119,6 @@ class FleetConfig:
             raise ValueError("metrics_port must be non-negative (or None)")
 
 
-class _ReplicaHeartbeat(threading.Thread):
-    """Commits the replica's liveness row on a fixed cadence."""
-
-    def __init__(
-        self,
-        store: ServeStateStore,
-        server: AnnotationServer,
-        replica: int,
-        attempt: int,
-        interval: float,
-    ) -> None:
-        super().__init__(name=f"replica-{replica:02d}-heartbeat", daemon=True)
-        self.store = store
-        self.server = server
-        self.replica = replica
-        self.attempt = attempt
-        self.interval = interval
-        self.started_wall = time.time()
-        # NB: not named ``_stop`` — threading.Thread.join() calls an
-        # internal ``self._stop()`` method that an Event would shadow.
-        self._halt = threading.Event()
-
-    def beat(self, phase: str) -> None:
-        self.store.record_replica(
-            self.replica,
-            pid=os.getpid(),
-            attempt=self.attempt,
-            phase=phase,
-            requests_total=self.server.metrics.snapshot()["requests_total"],
-            started_wall=self.started_wall,
-        )
-        # The full stats snapshot rides every beat (last write wins,
-        # like shard heartbeats): this is how per-replica telemetry
-        # leaves the process, and what the supervisor's fleet /metrics
-        # fold (MetricsAggregator) reads back — journals alone, no
-        # shared memory, no live scrape of each replica.
-        self.store.record_replica_stats(self.replica, self.server.stats())
-
-    def run(self) -> None:
-        while not self._halt.wait(self.interval):
-            self.beat("running")
-
-    def stop(self, final_phase: "str | None" = None) -> None:
-        self._halt.set()
-        self.join(timeout=5.0)
-        if final_phase is not None:
-            self.beat(final_phase)
-
-
 def serve_replica_main(spec: dict) -> int:
     """Entry point of one spawned serving replica.
 
@@ -204,11 +157,29 @@ def serve_replica_main(spec: dict) -> int:
     # profile --serve` reconstructs the fleet's time breakdown offline.
     profiler = maybe_start_profiler()
 
-    heartbeat = _ReplicaHeartbeat(
-        store, server, replica, attempt, spec["heartbeat_interval"]
+    started_wall = time.time()
+
+    def beat(phase: str) -> None:
+        store.record_replica(
+            replica,
+            pid=os.getpid(),
+            attempt=attempt,
+            phase=phase,
+            requests_total=server.metrics.snapshot()["requests_total"],
+            started_wall=started_wall,
+        )
+        # The full stats snapshot rides every beat (last write wins,
+        # like shard heartbeats): this is how per-replica telemetry
+        # leaves the process, and what the supervisor's fleet /metrics
+        # fold (MetricsAggregator) reads back — journals alone, no
+        # shared memory, no live scrape of each replica.
+        store.record_replica_stats(replica, server.stats())
+
+    heartbeat = Heartbeat(
+        beat, spec["heartbeat_interval"], f"replica-{replica:02d}-heartbeat"
     )
     server.start()
-    heartbeat.beat("running")
+    beat("running")
     heartbeat.start()
     stop.wait()
     store.record_event(replica, "drain", f"pid {os.getpid()} draining")
@@ -222,8 +193,8 @@ def serve_replica_main(spec: dict) -> int:
             pid=os.getpid(),
             attempt=attempt,
             phase="drained" if drained else "drain-timeout",
-            requests_total=heartbeat.server.metrics.snapshot()["requests_total"],
-            started_wall=heartbeat.started_wall,
+            requests_total=server.metrics.snapshot()["requests_total"],
+            started_wall=started_wall,
         )
         final.record_event(
             replica,
@@ -241,19 +212,6 @@ def serve_replica_main(spec: dict) -> int:
     finally:
         final.close()
     return 0
-
-
-@dataclass
-class _ReplicaState:
-    """Supervision bookkeeping of one replica (in-memory only)."""
-
-    replica: int
-    attempt: int = 0
-    restarts: int = 0
-    process: "multiprocessing.process.BaseProcess | None" = None
-    spawned_at: float = 0.0
-    restart_at: float = 0.0
-    degraded: bool = False
 
 
 class ServeSupervisor:
@@ -321,9 +279,23 @@ class ServeSupervisor:
             }
         )
         self.store = ServeStateStore(serve_config.state_db)
-        self._states = [
-            _ReplicaState(replica=index) for index in range(fleet.replicas)
-        ]
+        # Any unsupervised exit — crash, chaos kill, even a clean 0
+        # nobody asked for — leaves the fleet a replica short; the
+        # supervisor's job is to put it back.
+        self._supervisor = ProcessSupervisor(
+            fleet.replicas,
+            fleet,
+            start=self._start,
+            last_beat=lambda child: current_beat(
+                self.store.replica_status(child.index), child
+            ),
+            record=lambda child, kind, detail: self.store.record_event(
+                child.index, kind, detail
+            ),
+            exit_zero_done=False,
+            wall_clock=wall_clock,
+        )
+        self._children = self._supervisor.children
         self._started = False
         #: The unified scrape: one /metrics on the supervisor folding
         #: every replica's journaled stats (started with the fleet when
@@ -370,28 +342,28 @@ class ServeSupervisor:
                 f"fleet /metrics on {self.metrics_server.host}:"
                 f"{self.metrics_server.port}",
             )
-        for state in self._states:
-            self._spawn(state, kind="spawn")
+        for child in self._children:
+            self._supervisor.spawn(child, "spawn")
         return self
 
-    def _spawn(self, state: _ReplicaState, kind: str) -> None:
-        state.attempt += 1
+    def _start(self, child: Child, kind: str):
+        """Spawn the replica's current attempt and journal it."""
         # Chaos only on the replica's very first process: a restarted
         # replica must be allowed to serve, or a kill-at-request plan
         # would cycle forever.
         armed = (
             self.fleet.chaos_kill_replica > 0
-            and state.attempt == 1
+            and child.attempt == 1
             and kind == "spawn"
         )
         service = dict(self.service_kwargs)
         if armed:
             service["kill_at_request"] = self.fleet.chaos_kill_replica
         serve_config = asdict(self.serve_config)
-        serve_config["replica"] = state.replica
+        serve_config["replica"] = child.index
         spec = {
-            "replica": state.replica,
-            "attempt": state.attempt,
+            "replica": child.index,
+            "attempt": child.attempt,
             "serve_config": serve_config,
             "service": service,
             "heartbeat_interval": self.fleet.heartbeat_interval,
@@ -400,27 +372,26 @@ class ServeSupervisor:
         process = self._mp.Process(
             target=serve_replica_main,
             args=(spec,),
-            name=f"repro-replica-{state.replica:02d}",
+            name=f"repro-replica-{child.index:02d}",
         )
         process.start()
-        state.process = process
-        state.spawned_at = self._wall()
         self.store.record_event(
-            state.replica,
+            child.index,
             kind,
-            f"pid {process.pid} attempt {state.attempt}"
+            f"pid {process.pid} attempt {child.attempt}"
             + (", chaos armed" if armed else ""),
-            t_wall=state.spawned_at,
+            t_wall=child.spawned_at,
         )
+        return process
 
     # ------------------------------------------------------------------
     @property
     def pids(self) -> "dict[int, int]":
         """Live replica pids by replica index."""
         return {
-            state.replica: state.process.pid
-            for state in self._states
-            if state.process is not None and state.process.is_alive()
+            child.index: child.process.pid
+            for child in self._children
+            if child.process is not None and child.process.is_alive()
         }
 
     def healthy_replicas(self) -> int:
@@ -429,9 +400,9 @@ class ServeSupervisor:
             now=self._wall(), heartbeat_timeout=self.fleet.heartbeat_timeout
         )
         live = {
-            state.replica: state.attempt
-            for state in self._states
-            if state.process is not None and state.process.is_alive()
+            child.index: child.attempt
+            for child in self._children
+            if child.process is not None and child.process.is_alive()
         }
         return sum(
             1
@@ -441,65 +412,7 @@ class ServeSupervisor:
 
     def poll(self) -> None:
         """One supervision pass: reap exits, detect wedges, respawn."""
-        for state in self._states:
-            if state.degraded:
-                continue
-            if state.process is None:
-                if self._wall() >= state.restart_at:
-                    self._spawn(state, kind="restart")
-                continue
-            exitcode = state.process.exitcode
-            if exitcode is not None:
-                state.process.join()
-                # Any unsupervised exit — crash, chaos kill, even a
-                # clean 0 nobody asked for — leaves the fleet a replica
-                # short; the supervisor's job is to put it back.
-                self.store.record_event(
-                    state.replica, "crash", f"exit code {exitcode}"
-                )
-                self._schedule_restart(state)
-                continue
-            if self._heartbeat_stale(state):
-                self.store.record_event(
-                    state.replica,
-                    "heartbeat-miss",
-                    f"no heartbeat for >{self.fleet.heartbeat_timeout:g}s "
-                    f"— killing pid {state.process.pid}",
-                )
-                state.process.kill()
-                state.process.join()
-                self._schedule_restart(state)
-
-    def _heartbeat_stale(self, state: _ReplicaState) -> bool:
-        """Is the replica's journaled heartbeat older than the timeout?
-        Before the first beat lands, staleness is measured from the
-        spawn instant (world rebuild takes a moment)."""
-        last = state.spawned_at
-        status = self.store.replica_status(state.replica)
-        if status is not None and status["attempt"] == state.attempt:
-            last = max(last, status["heartbeat_wall"])
-        return self._wall() - last > self.fleet.heartbeat_timeout
-
-    def _schedule_restart(self, state: _ReplicaState) -> None:
-        state.process = None
-        if state.restarts >= self.fleet.max_restarts:
-            state.degraded = True
-            self.store.record_event(
-                state.replica,
-                "degraded",
-                f"restart budget exhausted ({self.fleet.max_restarts} "
-                "restarts)",
-            )
-            return
-        backoff = self.fleet.restart_backoff * (2 ** state.restarts)
-        state.restarts += 1
-        state.restart_at = self._wall() + backoff
-        self.store.record_event(
-            state.replica,
-            "restart-scheduled",
-            f"restart {state.restarts}/{self.fleet.max_restarts} "
-            f"after {backoff:g}s backoff",
-        )
+        self._supervisor.poll()
 
     # ------------------------------------------------------------------
     def rolling_restart(self, settle_timeout: float = 30.0) -> bool:
@@ -518,19 +431,21 @@ class ServeSupervisor:
         """
         self.store.record_event(FLEET, "rolling-restart", "begin")
         ok = True
-        for state in self._states:
-            if state.degraded:
+        for child in self._children:
+            if child.degraded:
                 continue
-            self._drain_one(state)
-            self._spawn(state, kind="rolling-restart")
-            if not self._await_running(state, settle_timeout):
+            self._drain(
+                [child], f"did not drain in {self.fleet.drain_timeout:g}s"
+            )
+            self._supervisor.spawn(child, "rolling-restart")
+            if not self._await_running(child, settle_timeout):
                 ok = False
         self.store.record_event(
             FLEET, "rolling-restart", "complete" if ok else "timed out"
         )
         return ok
 
-    def _await_running(self, state: _ReplicaState, timeout: float) -> bool:
+    def _await_running(self, child: Child, timeout: float) -> bool:
         """Wait until the replica's current attempt has reported
         ``running``; False when it died first or ``timeout`` passed.
 
@@ -541,44 +456,51 @@ class ServeSupervisor:
         """
         deadline = self._wall() + timeout
         while True:
-            status = self.store.replica_status(state.replica)
+            status = self.store.replica_status(child.index)
             if (
                 status is not None
-                and status["attempt"] == state.attempt
+                and status["attempt"] == child.attempt
                 and status["phase"] == "running"
             ):
                 return True
-            process = state.process
+            process = child.process
             if self._wall() >= deadline or (
                 process is not None and not process.is_alive()
             ):
                 return False
             self._sleep(min(0.05, self.fleet.heartbeat_interval))
 
-    def _drain_one(self, state: _ReplicaState) -> bool:
-        """SIGTERM one replica and wait out its drain; kill stragglers.
-
-        Returns True when the replica exited 0 (graceful drain) inside
-        the deadline.
-        """
-        self._await_running(state, self.fleet.drain_timeout)
-        process = state.process
-        state.process = None
-        if process is None or not process.is_alive():
-            return True
-        process.terminate()
-        process.join(timeout=self.fleet.drain_timeout + DRAIN_GRACE)
-        if process.is_alive():
-            self.store.record_event(
-                state.replica,
-                "drain-kill",
-                f"pid {process.pid} did not drain in "
-                f"{self.fleet.drain_timeout:g}s — killing",
-            )
-            process.kill()
-            process.join()
-            return False
-        return process.exitcode == 0
+    def _drain(self, children: "list[Child]", late: str) -> bool:
+        """SIGTERM the children's live processes together and wait out
+        their drain; kill stragglers, journaling ``pid N {late} —
+        killing``.  True when every one exited 0 inside the deadline."""
+        live = [
+            child
+            for child in children
+            if child.process is not None and child.process.is_alive()
+        ]
+        startup_deadline = self._wall() + self.fleet.drain_timeout
+        for child in live:
+            self._await_running(child, max(0.0, startup_deadline - self._wall()))
+        for child in live:
+            child.process.terminate()
+        graceful = True
+        deadline = self._wall() + self.fleet.drain_timeout + DRAIN_GRACE
+        for child in live:
+            process = child.process
+            child.process = None
+            process.join(timeout=max(0.0, deadline - self._wall()))
+            if process.is_alive():
+                self.store.record_event(
+                    child.index, "drain-kill",
+                    f"pid {process.pid} {late} — killing",
+                )
+                process.kill()
+                process.join()
+                graceful = False
+            elif process.exitcode != 0:
+                graceful = False
+        return graceful
 
     # ------------------------------------------------------------------
     def drain(self) -> bool:
@@ -592,33 +514,7 @@ class ServeSupervisor:
             True when every replica drained gracefully.
         """
         self.store.record_event(FLEET, "fleet-drain", "begin")
-        live = [
-            state
-            for state in self._states
-            if state.process is not None and state.process.is_alive()
-        ]
-        startup_deadline = self._wall() + self.fleet.drain_timeout
-        for state in live:
-            self._await_running(state, max(0.0, startup_deadline - self._wall()))
-        for state in live:
-            state.process.terminate()
-        graceful = True
-        deadline = self._wall() + self.fleet.drain_timeout + DRAIN_GRACE
-        for state in live:
-            process = state.process
-            state.process = None
-            process.join(timeout=max(0.0, deadline - self._wall()))
-            if process.is_alive():
-                self.store.record_event(
-                    state.replica,
-                    "drain-kill",
-                    f"pid {process.pid} did not drain — killing",
-                )
-                process.kill()
-                process.join()
-                graceful = False
-            elif process.exitcode != 0:
-                graceful = False
+        graceful = self._drain(self._children, "did not drain")
         self.store.record_event(
             FLEET, "fleet-stop",
             "all replicas drained" if graceful else "drain incomplete",
@@ -654,14 +550,13 @@ class ServeSupervisor:
             :meth:`drain`'s verdict.
         """
         stop = stop if stop is not None else threading.Event()
-        poll = max(0.05, min(0.2, self.fleet.heartbeat_interval / 2.0))
         self.start()
         while not stop.is_set():
             self.poll()
             if rolling is not None and rolling.is_set():
                 rolling.clear()
                 self.rolling_restart()
-            stop.wait(poll)
+            stop.wait(self._supervisor.poll_interval)
         return self.drain()
 
 

@@ -62,6 +62,8 @@ import threading
 import time
 from typing import Callable
 
+from repro.campaign.journal import open_wal
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS serve_modules (
     module_id TEXT PRIMARY KEY,
@@ -168,19 +170,9 @@ class ServeStateStore:
         # Autocommit (isolation_level=None): single statements commit on
         # their own; the one read-modify-write path (charge) manages its
         # BEGIN IMMEDIATE transaction explicitly.
-        self._connection = sqlite3.connect(
-            self.path,
-            timeout=busy_timeout,
-            check_same_thread=False,
-            isolation_level=None,
+        self._connection = open_wal(
+            self.path, _SCHEMA, busy_timeout, isolation_level=None
         )
-        with self._lock:
-            self._connection.execute(
-                f"PRAGMA busy_timeout = {int(busy_timeout * 1000)}"
-            )
-            self._connection.execute("PRAGMA journal_mode = WAL")
-            self._connection.execute("PRAGMA synchronous = NORMAL")
-            self._connection.executescript(_SCHEMA)
 
     def close(self) -> None:
         with self._lock:
