@@ -3,9 +3,10 @@
 Module behaviors are deterministic functions of their input bindings
 (§2: a module computes one output tuple per valid input combination), so
 an invocation is safe to memoize on ``(module_id, canonical bindings)``.
-The canonical form reuses the wire serialization — the same JSON document
-that would travel to a SOAP/REST endpoint — which already sorts keys and
-normalizes payloads.
+The canonical form is :func:`repro.values.canonical.bindings_json`, the
+same encoding §6 tokens and drift detection compare values by — not the
+wire serialization: it sorts parameter names and replaces NaN payloads
+by a self-equal token, where the wire form would print ``NaN``.
 
 Abnormal terminations are memoized too (*negative caching*): an input
 combination a module rejects is rejected forever — as long as the module
@@ -22,8 +23,6 @@ transient property of the provider, not of the input combination.
 
 from __future__ import annotations
 
-import json
-import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -32,44 +31,19 @@ from repro.engine.telemetry import default_clock
 from repro.modules.errors import InvalidInputError
 from repro.modules.model import Module
 from repro.values import TypedValue
-
-
-def _canonical_payload(payload):
-    """Normalize a payload for keying.
-
-    ``json.dumps`` would emit the non-standard ``NaN`` token for a NaN
-    float — and NaN's ``x != x`` semantics make it a hazard anywhere a
-    payload is compared rather than serialized — so NaN is replaced by a
-    tagged, self-equal token.  Tuples are canonicalized recursively (the
-    wire form renders them as JSON arrays anyway).
-    """
-    if isinstance(payload, float) and math.isnan(payload):
-        return {"__float__": "nan"}
-    if isinstance(payload, (tuple, list)):
-        return [_canonical_payload(item) for item in payload]
-    return payload
+from repro.values.canonical import bindings_json
 
 
 def canonical_key(module: Module, bindings: dict[str, TypedValue]) -> tuple[str, str]:
     """The cache key of one invocation: module id + canonical bindings.
 
-    The canonical form is deliberately self-contained rather than
-    delegating to the wire serialization: parameter insertion order is
-    erased by sorting, and NaN payloads are normalized to a self-equal
-    token so identical inputs always key identically.
+    The canonical form (:func:`~repro.values.canonical.bindings_json`) is
+    deliberately self-contained rather than delegating to the wire
+    serialization: parameter insertion order is erased by sorting, and
+    NaN payloads are normalized to a self-equal token so identical
+    inputs always key identically.
     """
-    document = json.dumps(
-        {
-            name: {
-                "payload": _canonical_payload(value.payload),
-                "structural": value.structural.name,
-                "concept": value.concept,
-            }
-            for name, value in sorted(bindings.items())
-        },
-        sort_keys=True,
-    )
-    return module.module_id, document
+    return module.module_id, bindings_json(bindings)
 
 
 @dataclass

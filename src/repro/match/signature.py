@@ -23,22 +23,21 @@ All hashing is ``blake2b``-based and therefore stable across processes
 and Python versions — Python's builtin ``hash()`` is salted per process
 (``PYTHONHASHSEED``) and would silently break journaled index resume.
 
-Payload canonicalization reuses the wire-form rules of
-:func:`repro.engine.cache.canonical_key` (sorted keys, NaN replaced by a
-self-equal token) so that any two values the invocation cache would key
-identically also tokenize identically.
+Payloads are encoded by :mod:`repro.values.canonical`, the encoding the
+invocation cache keys by (sorted keys, NaN replaced by a self-equal
+token), so any two values the cache would key identically also tokenize
+identically.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from array import array
 from dataclasses import dataclass
 
 from repro.core.examples import DataExample
-from repro.engine.cache import _canonical_payload
+from repro.values.canonical import sorted_payloads_json
 
 _MASK64 = (1 << 64) - 1
 
@@ -69,24 +68,19 @@ def _mix64(value: int) -> int:
     return value ^ (value >> 31)
 
 
-#: ``json.dumps(value, sort_keys=True)`` without building an encoder per
-#: call (same output).
-_sorted_json = json.JSONEncoder(sort_keys=True).encode
+def _payloads(bindings) -> str:
+    """The canonical JSON array of one example side's payloads — names,
+    order and concepts erased."""
+    return sorted_payloads_json(b.value.payload for b in bindings)
 
 
-def _canonical_dumps(bindings) -> "list[str]":
-    """The sorted canonical JSON forms of the bindings' payloads — the one
-    canonicalization pass both tokens of an example are hashed from."""
-    return sorted(_sorted_json(_canonical_payload(b.value.payload)) for b in bindings)
-
-
-def _behavior_hash(inputs: "list[str]", outputs: "list[str]") -> int:
-    document = _sorted_json({"in": inputs, "out": outputs})
+def _behavior_hash(inputs: str, outputs: str) -> int:
+    document = f'{{"in": {inputs}, "out": {outputs}}}'
     return _blake64(document.encode("utf-8"), salt=b"repro-behavior")
 
 
-def _input_hash(inputs: "list[str]") -> int:
-    return _blake64(json.dumps(inputs).encode("utf-8"), salt=b"repro-inputs")
+def _input_hash(inputs: str) -> int:
+    return _blake64(inputs.encode("utf-8"), salt=b"repro-inputs")
 
 
 def behavior_token(example: DataExample) -> int:
@@ -99,9 +93,7 @@ def behavior_token(example: DataExample) -> int:
     (the relaxed Figure 7 case) therefore produce identical tokens for
     identical behavior.
     """
-    return _behavior_hash(
-        _canonical_dumps(example.inputs), _canonical_dumps(example.outputs)
-    )
+    return _behavior_hash(_payloads(example.inputs), _payloads(example.outputs))
 
 
 def behavior_tokens(
@@ -119,8 +111,8 @@ def behavior_tokens(
     """
     tokens = set()
     for example in examples:
-        inputs = _canonical_dumps(example.inputs)
-        tokens.add(_behavior_hash(inputs, _canonical_dumps(example.outputs)))
+        inputs = _payloads(example.inputs)
+        tokens.add(_behavior_hash(inputs, _payloads(example.outputs)))
         if input_sink is not None:
             input_sink.add(_input_hash(inputs))
     return frozenset(tokens)
@@ -136,7 +128,7 @@ def input_token(example: DataExample) -> int:
     these tokens so genuinely overlapping pairs whose *agreeing*
     examples happen not to coincide are still candidates (the
     output-inclusive token tier only fires on shared agreement)."""
-    return _input_hash(_canonical_dumps(example.inputs))
+    return _input_hash(_payloads(example.inputs))
 
 
 def input_tokens(examples: "list[DataExample] | tuple[DataExample, ...]") -> "frozenset[int]":

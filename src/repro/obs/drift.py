@@ -30,29 +30,25 @@ journaled baseline campaign without extra invocations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from repro.core.examples import Binding, DataExample
 from repro.core.matching import MatchKind
 from repro.modules.errors import ModuleInvocationError
-
-
-def _canonical(payload) -> str:
-    """A self-equal canonical form of one value payload (NaN included)."""
-    return json.dumps(payload, sort_keys=True, default=repr)
+from repro.values.canonical import payload_json
 
 
 def input_key(example: DataExample) -> "tuple[tuple[str, str], ...]":
     """The identity of an example's input realization: parameter names
-    with canonicalized payloads, order-insensitive."""
+    with canonical payloads (:func:`~repro.values.canonical.payload_json`,
+    NaN self-equal), order-insensitive."""
     return tuple(
-        sorted((b.parameter, _canonical(b.value.payload)) for b in example.inputs)
+        sorted((b.parameter, payload_json(b.value.payload)) for b in example.inputs)
     )
 
 
 def _output_signature(example: DataExample) -> "dict[str, str]":
-    return {b.parameter: _canonical(b.value.payload) for b in example.outputs}
+    return {b.parameter: payload_json(b.value.payload) for b in example.outputs}
 
 
 @dataclass(frozen=True)

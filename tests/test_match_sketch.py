@@ -21,7 +21,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.examples import Binding, DataExample
-from repro.engine.cache import _canonical_payload
 from repro.match import SignatureConfig, SignatureIndex, build_synthetic_catalog
 from repro.match.builder import entry_from_record, entry_to_record
 from repro.match.index import IndexedModule
@@ -57,9 +56,20 @@ def ref_mix64(value):
     return value ^ (value >> 31)
 
 
+def ref_canonical_payload(payload):
+    """The payload normalizer, copied so the reference shares no code
+    with the encoder under test: NaN becomes a tagged token, tuples
+    become lists, recursively."""
+    if isinstance(payload, float) and math.isnan(payload):
+        return {"__float__": "nan"}
+    if isinstance(payload, (tuple, list)):
+        return [ref_canonical_payload(item) for item in payload]
+    return payload
+
+
 def ref_dumps(bindings):
     return sorted(
-        json.dumps(_canonical_payload(b.value.payload), sort_keys=True)
+        json.dumps(ref_canonical_payload(b.value.payload), sort_keys=True)
         for b in bindings
     )
 
