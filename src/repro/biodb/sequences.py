@@ -106,15 +106,6 @@ def classify_sequence(sequence: str) -> str:
     raise ValueError(f"unclassifiable sequence alphabet: {sorted(letters)}")
 
 
-def is_nucleotide(sequence: str) -> bool:
-    """True for DNA, RNA or ambiguous nucleotide sequences."""
-    return classify_sequence(sequence) in (
-        "DNASequence",
-        "RNASequence",
-        "NucleotideSequence",
-    )
-
-
 def transcribe(dna: str) -> str:
     """DNA -> RNA transcription (T becomes U)."""
     return dna.upper().replace("T", "U")

@@ -21,6 +21,7 @@ import sqlite3
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping
 
 from repro.core.examples import Binding, DataExample
 from repro.core.generation import GenerationReport
@@ -392,6 +393,40 @@ class CampaignJournal:
                 (campaign_id, module_id, "skipped", reason, "{}"),
             )
 
+    def copy_entries(
+        self, campaign_id: str, source_path: "str | Path", source_campaign_id: str
+    ) -> int:
+        """Copy every entry row of ``source_campaign_id`` in the journal
+        file ``source_path`` under ``campaign_id`` here, byte for byte.
+
+        One committed transaction of ``(campaign_id, module_id)`` upserts
+        (the key :meth:`record_done` writes), so copying the same rows
+        twice lands on the same table.  A source without such rows — or
+        killed before its schema was committed — copies nothing.
+
+        Returns:
+            Rows copied.
+        """
+        with self._lock:
+            self._connection.execute(
+                "ATTACH DATABASE ? AS source", (str(source_path),)
+            )
+            try:
+                with self._connection:
+                    if self._connection.execute(
+                        "SELECT 1 FROM source.sqlite_master "
+                        "WHERE type = 'table' AND name = 'campaign_entries'"
+                    ).fetchone() is None:
+                        return 0
+                    return self._connection.execute(
+                        "INSERT OR REPLACE INTO main.campaign_entries "
+                        "SELECT ?, module_id, status, detail, report_json "
+                        "FROM source.campaign_entries WHERE campaign_id = ?",
+                        (campaign_id, source_campaign_id),
+                    ).rowcount
+            finally:
+                self._connection.execute("DETACH DATABASE source")
+
     # ------------------------------------------------------------------
     # Spans (the campaign flight recorder)
     # ------------------------------------------------------------------
@@ -721,19 +756,62 @@ class CampaignJournal:
             "n_skipped": counts.get("skipped", 0),
         }
 
-    def entries(self, campaign_id: str) -> "dict[str, JournalEntry]":
-        """All journaled entries of one campaign, keyed by module id."""
+    def _status_rows(self, campaign_id: str) -> "list[tuple[str, str, str]]":
+        return self._connection.execute(
+            "SELECT module_id, status, detail "
+            "FROM campaign_entries WHERE campaign_id = ?",
+            (campaign_id,),
+        ).fetchall()
+
+    def statuses(self, campaign_id: str) -> "dict[str, JournalEntry]":
+        """Every journaled entry's status and skip detail, keyed by
+        module id, without reading any report (``report`` is ``None``)."""
         with self._lock:
-            rows = self._connection.execute(
-                "SELECT module_id, status, detail, report_json "
-                "FROM campaign_entries WHERE campaign_id = ?",
-                (campaign_id,),
-            ).fetchall()
+            rows = self._status_rows(campaign_id)
+        return {
+            module_id: JournalEntry(module_id=module_id, status=status, detail=detail)
+            for module_id, status, detail in rows
+        }
+
+    def entries(
+        self,
+        campaign_id: str,
+        held: "Mapping[str, GenerationReport] | None" = None,
+    ) -> "dict[str, JournalEntry]":
+        """All journaled entries of one campaign, keyed by module id.
+
+        Args:
+            campaign_id: The campaign.
+            held: Reports this process committed under ``campaign_id``
+                with :meth:`record_done`, by module id.  The journal
+                still decides every module's status; a done module whose
+                report is held takes that object, and only the other
+                done rows' report JSON is read and parsed.
+        """
+        held = held or {}
+        with self._lock, self._connection:
+            # One read transaction: both reads see the same snapshot.
+            self._connection.execute("BEGIN")
+            rows = self._status_rows(campaign_id)
+            payloads = {}
+            if any(
+                status == "done" and module_id not in held
+                for module_id, status, _ in rows
+            ):
+                payloads = dict(
+                    self._connection.execute(
+                        "SELECT module_id, report_json FROM campaign_entries "
+                        "WHERE campaign_id = ? AND status = 'done'",
+                        (campaign_id,),
+                    ).fetchall()
+                )
         entries: dict[str, JournalEntry] = {}
-        for module_id, status, detail, report_json in rows:
+        for module_id, status, detail in rows:
             report = None
             if status == "done":
-                report = report_from_dict(json.loads(report_json))
+                report = held.get(module_id)
+                if report is None:
+                    report = report_from_dict(json.loads(payloads[module_id]))
             entries[module_id] = JournalEntry(
                 module_id=module_id, status=status, detail=detail, report=report
             )

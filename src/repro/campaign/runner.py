@@ -11,12 +11,19 @@ manifest instead of failing the whole run.
 Execution semantics:
 
 * **Checkpoint/resume.**  ``run`` journals each module as it completes;
-  a killed campaign is continued by ``resume``, which re-runs only the
-  unjournaled (and previously skipped) modules.  Because generation is
-  deterministic per module and the final assembly is planned-order (the
-  same input-ordered reassembly the batch scheduler uses), the finalized
-  report of a killed-and-resumed campaign is byte-identical to an
-  uninterrupted one.
+  a killed campaign is continued by ``resume``, which reads only the
+  journaled statuses and re-runs the unjournaled (and previously
+  skipped) modules.  Because generation is deterministic per module and
+  the final assembly is planned-order (the same input-ordered
+  reassembly the batch scheduler uses), the finalized report of a
+  killed-and-resumed campaign is byte-identical to an uninterrupted one.
+* **Read-once finalize.**  ``finalize`` is the sharded merge's
+  planned-order walk (:func:`repro.campaign.sharding.assemble_result`).
+  The journal decides which modules are done or skipped; a done
+  module's report is taken from memory when this ``run``/``resume``
+  call committed it, and parsed from its journaled JSON only otherwise
+  — so each report is parsed at most once per call, and a fresh run
+  parses none.
 * **Probe rounds.**  A module whose report is incomplete (its provider
   never answered some combinations) is not journaled done; the campaign
   sleeps one probe interval — letting the breaker's half-open probe
@@ -36,12 +43,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.campaign.journal import (
-    COMPLETE,
-    DEGRADED,
-    CampaignJournal,
-    report_to_dict,
-)
+from repro.campaign.journal import CampaignJournal, report_to_dict
 from repro.core.generation import ExampleGenerator, GenerationReport
 from repro.core.quarantine import QuarantineLog
 from repro.engine import (
@@ -385,6 +387,11 @@ class CampaignRunner:
         #: ``config.sample_interval > 0`` (see :meth:`_arm_sampler`).
         self.sampler = None
         self._last_sample_at: "float | None" = None
+        #: Reports committed by the ``run``/``resume`` call in flight
+        #: (module id -> report), for the campaign ``_held_campaign``;
+        #: emptied when that call returns (see :meth:`_drive`).
+        self._held: "dict[str, GenerationReport]" = {}
+        self._held_campaign: "str | None" = None
 
     # ------------------------------------------------------------------
     def _arm_recorder(self, campaign_id: str) -> None:
@@ -443,8 +450,7 @@ class CampaignRunner:
         )
         self._arm_recorder(campaign_id)
         self._arm_sampler(campaign_id)
-        self._execute(campaign_id, self.modules)
-        return self.finalize(campaign_id)
+        return self._drive(campaign_id, self.modules)
 
     def resume(self, campaign_id: str) -> CampaignResult:
         """Continue a journaled campaign: re-run every module without a
@@ -457,20 +463,30 @@ class CampaignRunner:
                 does not supply.
         """
         meta = self.journal.meta(campaign_id)
-        entries = self.journal.entries(campaign_id)
+        statuses = self.journal.statuses(campaign_id)
         pending = [
             self.by_id[module_id]
             for module_id in meta.module_ids
-            if entries.get(module_id) is None
-            or entries[module_id].status == "skipped"
+            if statuses.get(module_id) is None
+            or statuses[module_id].status == "skipped"
         ]
         self.journal.set_status(campaign_id, "running")
         self._arm_recorder(campaign_id)
         self._arm_sampler(campaign_id)
-        self._execute(campaign_id, pending)
-        return self.finalize(campaign_id)
+        return self._drive(campaign_id, pending)
 
     # ------------------------------------------------------------------
+    def _drive(self, campaign_id: str, pending: "list[Module]") -> CampaignResult:
+        """Execute ``pending`` and finalize, holding the reports this call
+        commits for ``finalize`` — and for no longer than this call."""
+        self._held_campaign = campaign_id
+        try:
+            self._execute(campaign_id, pending)
+            return self.finalize(campaign_id)
+        finally:
+            self._held = {}
+            self._held_campaign = None
+
     def _execute(self, campaign_id: str, pending: "list[Module]") -> None:
         start = self._clock()
         pending = list(pending)
@@ -507,6 +523,7 @@ class CampaignRunner:
         report = self.generator.generate(module)
         if report.complete:
             self.journal.record_done(campaign_id, report)
+            self._held[report.module_id] = report
             return None
         return module
 
@@ -514,36 +531,22 @@ class CampaignRunner:
     def finalize(self, campaign_id: str) -> CampaignResult:
         """Assemble the campaign's result in planned order and persist
         its terminal status (``complete`` / ``degraded``)."""
-        meta = self.journal.meta(campaign_id)
-        entries = self.journal.entries(campaign_id)
-        reports: dict[str, GenerationReport] = {}
-        skipped: dict[str, str] = {}
-        for module_id in meta.module_ids:
-            entry = entries.get(module_id)
-            if entry is not None and entry.status == "done":
-                reports[module_id] = entry.report
-            else:
-                detail = entry.detail if entry is not None else "never attempted"
-                skipped[module_id] = detail
-        status = COMPLETE if not skipped else DEGRADED
-        self.journal.set_status(campaign_id, status)
-        drift = self._evaluate_drift(campaign_id, reports)
+        # Imported here: sharding builds on this module's CampaignResult.
+        from repro.campaign.sharding import assemble_result
+
+        result = assemble_result(
+            self.journal,
+            campaign_id,
+            held=self._held if campaign_id == self._held_campaign else None,
+        )
+        result.drift = self._evaluate_drift(campaign_id, result.reports)
         if self.sampler is not None:
             # Close the timeline with a terminal sample so post-mortem
             # reconstruction sees the finalized progress counts.
             self.sampler.sample()
-        return CampaignResult(
-            campaign_id=campaign_id,
-            seed=meta.seed,
-            status=status,
-            reports=reports,
-            skipped=skipped,
-            breaker_states=(
-                self.engine.breaker.snapshot() if self.engine.breaker else {}
-            ),
-            n_planned=len(meta.module_ids),
-            drift=drift,
-        )
+        if self.engine.breaker:
+            result.breaker_states = self.engine.breaker.snapshot()
+        return result
 
     def _evaluate_drift(
         self, campaign_id: str, reports: "dict[str, GenerationReport]"

@@ -15,28 +15,28 @@ whole scheme crash-tolerant:
   ``<campaign_id>::shard-0i``.  Any subset of these files plus the main
   journal is enough to resume.
 * **The merge is idempotent.**  :func:`merge_shard_journal` copies
-  per-module entries into the main journal via the same
-  ``INSERT OR REPLACE`` discipline the serial runner uses, so duplicate
+  per-module rows verbatim into the main journal via the same
+  ``INSERT OR REPLACE`` key the serial runner writes, so duplicate
   rows from a restarted worker — or a merge re-run after the supervisor
   was killed halfway through — converge to the same final table.
-* **Assembly is planned-order.**  :func:`assemble_result` rebuilds the
-  :class:`~repro.campaign.runner.CampaignResult` by walking the main
-  journal's planned module ids, exactly like the serial runner's
-  ``finalize`` — which is why the merged report of a sharded campaign
-  is byte-identical to the single-process run (witnessed by
-  ``CampaignResult.digest()``).
+* **Assembly is planned-order.**  :func:`assemble_result` is the one
+  walk of the main journal's planned module ids that builds a
+  :class:`~repro.campaign.runner.CampaignResult`; the serial runner's
+  ``finalize`` delegates to it too — which is why the merged report of
+  a sharded campaign is byte-identical to the single-process run
+  (witnessed by ``CampaignResult.digest()``).
 """
 
 from __future__ import annotations
 
 import os
+from typing import Mapping
 
 from repro.campaign.journal import (
     COMPLETE,
     DEGRADED,
     CampaignJournal,
     CampaignMeta,
-    UnknownCampaignError,
 )
 from repro.campaign.runner import CampaignResult
 from repro.core.generation import GenerationReport
@@ -81,35 +81,22 @@ def merge_shard_journal(
 ) -> int:
     """Copy one shard journal's entries into the main journal.
 
+    The rows move verbatim (:meth:`CampaignJournal.copy_entries`): the
+    journaled report JSON is neither parsed nor re-encoded on the way.
     Idempotent and tolerant by construction:
 
     * A missing shard file, or one whose campaign row was never created
       (the worker died before its first commit), contributes nothing.
-    * ``record_done`` / ``record_skipped`` are keyed
-      ``(campaign_id, module_id)`` upserts, so merging the same shard
-      twice — or merging duplicate rows left by a restarted worker —
-      lands on the same final table.
+    * The copy is a keyed ``(campaign_id, module_id)`` upsert, so
+      merging the same shard twice — or merging duplicate rows left by
+      a restarted worker — lands on the same final table.
 
     Returns:
         Entries copied (0 for absent/empty shards).
     """
     if not os.path.exists(str(shard_path)):
         return 0
-    shard_journal = CampaignJournal(shard_path)
-    try:
-        try:
-            shard_journal.meta(shard_cid)
-        except UnknownCampaignError:
-            return 0
-        entries = shard_journal.entries(shard_cid)
-        for entry in entries.values():
-            if entry.status == "done":
-                main.record_done(campaign_id, entry.report)
-            else:
-                main.record_skipped(campaign_id, entry.module_id, entry.detail)
-        return len(entries)
-    finally:
-        shard_journal.close()
+    return main.copy_entries(campaign_id, shard_path, shard_cid)
 
 
 def assemble_result(
@@ -117,17 +104,22 @@ def assemble_result(
     campaign_id: str,
     breaker_states: "dict[str, dict] | None" = None,
     drift: "list | None" = None,
+    held: "Mapping[str, GenerationReport] | None" = None,
 ) -> CampaignResult:
-    """Rebuild the campaign result from the merged main journal.
+    """Assemble the campaign result from the main journal — the one
+    planned-order walk, shared by the serial runner's ``finalize`` and
+    the sharded merge.
 
-    The exact planned-order reassembly of the serial runner's
-    ``finalize``: walk ``meta.module_ids``, collect done reports and
-    skip reasons, persist the terminal status.  Because per-module
-    reports are deterministic and the walk order is the journaled plan,
-    this renders and digests byte-identically to the single-process run.
+    Walk ``meta.module_ids``, collect done reports and skip reasons,
+    persist the terminal status.  The journal decides which modules are
+    done; ``held`` (reports this process committed under
+    ``campaign_id``, by module id) only spares re-parsing their rows.
+    Because per-module reports are deterministic and the walk order is
+    the journaled plan, this renders and digests byte-identically to the
+    single-process run.
     """
     meta = journal.meta(campaign_id)
-    entries = journal.entries(campaign_id)
+    entries = journal.entries(campaign_id, held=held)
     reports: "dict[str, GenerationReport]" = {}
     skipped: "dict[str, str]" = {}
     for module_id in meta.module_ids:

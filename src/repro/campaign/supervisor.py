@@ -255,10 +255,10 @@ class CampaignSupervisor:
                 shard_journal_path(self.db_path, shard),
                 shard_campaign_id(campaign_id, shard),
             )
-        entries = journal.entries(campaign_id)
+        statuses = journal.statuses(campaign_id)
         for shard in degraded:
             for module_id in self._shards[shard]:
-                if module_id not in entries:
+                if module_id not in statuses:
                     journal.record_skipped(
                         campaign_id,
                         module_id,

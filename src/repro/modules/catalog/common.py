@@ -119,22 +119,6 @@ def valid_accession(parameter: str, concept: str):
     return guard
 
 
-def known_accession(parameter: str, concept: str):
-    """Guard: well-formed *and* resolvable in the universe."""
-    scheme = scheme_for(concept)
-
-    def guard(ctx: ModuleContext, inputs: dict[str, TypedValue]) -> bool:
-        value = inputs.get(parameter)
-        return (
-            value is not None
-            and isinstance(value.payload, str)
-            and scheme.is_valid(value.payload)
-            and ctx.universe.has(concept, value.payload)
-        )
-
-    return guard
-
-
 def sequence_kind(parameter: str, kinds: "tuple[str, ...]"):
     """Guard: the sequence value classifies into one of ``kinds``."""
 
@@ -186,15 +170,6 @@ def text_startswith(parameter: str, prefix: str):
             and isinstance(value.payload, str)
             and value.payload.startswith(prefix)
         )
-
-    return guard
-
-
-def all_of(*guards):
-    """Conjunction of guards."""
-
-    def guard(ctx: ModuleContext, inputs: dict[str, TypedValue]) -> bool:
-        return all(g(ctx, inputs) for g in guards)
 
     return guard
 

@@ -253,13 +253,6 @@ def _biological_sequence_row() -> ModuleRow:
     )
 
 
-def _text_transform(builder):
-    def transform(ctx: ModuleContext, inputs: dict[str, TypedValue]):
-        return builder(ctx, inputs)
-
-    return transform
-
-
 def build_retrieval_modules():
     """Assemble the 51 data-retrieval modules (SOAP 30 / REST 12 / local 9)."""
     rows: list[ModuleRow] = [

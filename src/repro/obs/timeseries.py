@@ -32,7 +32,6 @@ to the sampler's construction.  A resumed campaign starts a fresh
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Callable
 
@@ -320,7 +319,3 @@ def render_timeline(samples: "list[dict]", limit: int = 12) -> str:
         )
     return "\n".join(lines)
 
-
-def timeline_digest(samples: "list[dict]") -> str:
-    """A canonical JSON digest input for timeline-equality assertions."""
-    return json.dumps(samples, sort_keys=True)
