@@ -44,6 +44,7 @@ from repro.campaign.journal import (
     UnknownCampaignError,
     campaign_progress,
     report_from_dict,
+    report_json,
     report_to_dict,
 )
 from repro.campaign.runner import (
@@ -86,6 +87,7 @@ __all__ = [
     "merged_worker_stats",
     "render_campaign_report",
     "report_from_dict",
+    "report_json",
     "report_to_dict",
     "shard_campaign_id",
     "shard_journal_path",

@@ -20,6 +20,7 @@ import json
 import sqlite3
 import threading
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Mapping
 
@@ -27,7 +28,7 @@ from repro.core.examples import Binding, DataExample
 from repro.core.generation import GenerationReport
 from repro.core.quarantine import QuarantinedExample
 from repro.modules.interfaces import value_from_wire, value_to_wire
-from repro.values import TypedValue
+from repro.values import TypedValue, value_wire_json
 
 #: Journal lifecycle states of one campaign.
 RUNNING = "running"
@@ -196,6 +197,76 @@ def report_to_dict(report: GenerationReport) -> dict:
             for record in report.quarantined
         ],
     }
+
+
+def _text_json(text: "str | None") -> str:
+    return "null" if text is None else _quote(text)
+
+
+def _bindings_json(bindings) -> str:
+    return (
+        "["
+        + ", ".join(
+            [
+                f'{{"parameter": {_quote(binding.parameter)}, "partition": '
+                f"{_text_json(binding.partition)}, "
+                f'"value": {value_wire_json(binding.value)}}}'
+                for binding in bindings
+            ]
+        )
+        + "]"
+    )
+
+
+def report_json(report: GenerationReport) -> str:
+    """The journal row of a generation report:
+    ``json.dumps(report_to_dict(report), sort_keys=True)``, printed
+    directly from the report's fields (keys in sorted order, every typed
+    value through :func:`repro.values.canonical.value_wire_json`) without
+    building the intermediate dict."""
+    examples = ", ".join(
+        [
+            f'{{"inputs": {_bindings_json(example.inputs)}, '
+            f'"outputs": {_bindings_json(example.outputs)}}}'
+            for example in report.examples
+        ]
+    )
+    selected = ", ".join(
+        [
+            f"[{_quote(parameter)}, ["
+            + ", ".join(
+                [
+                    f"[{_quote(partition)}, {value_wire_json(value)}]"
+                    for partition, value in chosen.items()
+                ]
+            )
+            + "]]"
+            for parameter, chosen in report.selected.items()
+        ]
+    )
+    unrealized = ", ".join(
+        [
+            "[" + ", ".join(map(_quote, pair)) + "]"
+            for pair in report.unrealized_partitions
+        ]
+    )
+    quarantined = ", ".join(
+        [
+            f'{{"cause": {_quote(record.cause)}, "detail": {_quote(record.detail)}, '
+            f'"inputs": {_bindings_json(record.inputs)}, '
+            f'"outputs": {_bindings_json(record.outputs)}}}'
+            for record in report.quarantined
+        ]
+    )
+    return (
+        f'{{"examples": [{examples}], '
+        f'"invalid_combinations": {json.dumps(report.invalid_combinations)}, '
+        f'"module_id": {_quote(report.module_id)}, '
+        f'"quarantined": [{quarantined}], '
+        f'"selected": [{selected}], '
+        f'"unavailable_combinations": {json.dumps(report.unavailable_combinations)}, '
+        f'"unrealized_partitions": [{unrealized}]}}'
+    )
 
 
 def report_from_dict(data: dict) -> GenerationReport:
@@ -378,7 +449,7 @@ class CampaignJournal:
     # ------------------------------------------------------------------
     def record_done(self, campaign_id: str, report: GenerationReport) -> None:
         """Commit one completed module (replacing any earlier skip)."""
-        payload = json.dumps(report_to_dict(report), sort_keys=True)
+        payload = report_json(report)
         with self._lock, self._connection:
             self._connection.execute(
                 "INSERT OR REPLACE INTO campaign_entries VALUES (?, ?, ?, ?, ?)",

@@ -38,12 +38,11 @@ Execution semantics:
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.campaign.journal import CampaignJournal, report_to_dict
+from repro.campaign.journal import CampaignJournal, report_json
 from repro.core.generation import ExampleGenerator, GenerationReport
 from repro.core.quarantine import QuarantineLog
 from repro.engine import (
@@ -339,10 +338,8 @@ class CampaignResult:
         examples share a digest — the byte-identity witness for
         kill/resume testing.
         """
-        canonical = json.dumps(
-            [report_to_dict(report) for report in self.reports.values()],
-            sort_keys=True,
-        )
+        rows = [report_json(report) for report in self.reports.values()]
+        canonical = "[" + ", ".join(rows) + "]"
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -3,7 +3,7 @@
 The paper's 252 modules were supplied as Java/Python programs (56), REST
 services (60) and SOAP web services (136).  We simulate the three supply
 forms faithfully enough to exercise the code paths the heuristic depends
-on: values are serialized onto a wire format, envelopes are built and
+on: values are serialized onto a wire format, envelopes are printed and
 parsed, and failures surface as transport-level faults (SOAP ``Client``
 faults, HTTP 4xx/5xx, non-zero exit codes) that the client stub then
 normalizes back into :class:`InvalidInputError` / :class:`ModuleUnavailableError`.
@@ -22,14 +22,15 @@ from repro.modules.errors import (
     TransportError,
 )
 from repro.modules.model import InterfaceKind, Module, ModuleContext
-from repro.values import TypedValue, by_name
+from repro.values import TypedValue, bindings_wire_json, by_name
 
 
 # ----------------------------------------------------------------------
 # Wire (de)serialization
 # ----------------------------------------------------------------------
 def value_to_wire(value: TypedValue) -> dict:
-    """Serialize a typed value to its JSON-compatible wire form."""
+    """Serialize a typed value to its JSON-compatible wire form (whose
+    JSON text :func:`repro.values.canonical.value_wire_json` prints)."""
     payload = list(value.payload) if value.structural.is_list else value.payload
     return {
         "payload": payload,
@@ -42,42 +43,76 @@ def value_from_wire(data: dict) -> TypedValue:
     """Deserialize the wire form back into a typed value.
 
     Raises:
-        TransportError: When the wire form is malformed.
+        TransportError: When the wire form is malformed — including a
+            list-typed value whose payload is not a JSON array.
     """
     try:
         structural = by_name(data["structural"])
         payload = data["payload"]
         if structural.is_list:
+            if not isinstance(payload, list):
+                raise TransportError(
+                    f"malformed wire value: {structural.name} payload is "
+                    f"{type(payload).__name__}, not an array"
+                )
             payload = tuple(payload)
         return TypedValue(payload, structural, data.get("concept"))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise TransportError(f"malformed wire value: {exc}") from exc
 
 
 def bindings_to_wire(bindings: dict[str, TypedValue]) -> str:
-    """Serialize a full binding map to a JSON document."""
-    return json.dumps(
-        {name: value_to_wire(value) for name, value in bindings.items()},
-        sort_keys=True,
-    )
+    """Serialize a full binding map to a JSON document: the wire encoder
+    :func:`repro.values.canonical.bindings_wire_json`, byte-identical to
+    ``json.dumps({name: value_to_wire(v)}, sort_keys=True)``."""
+    return bindings_wire_json(bindings)
 
 
 def bindings_from_wire(document: str) -> dict[str, TypedValue]:
-    """Parse a JSON binding document back into typed values."""
+    """Parse a JSON binding document back into typed values.
+
+    Raises:
+        TransportError: When the document is not JSON, is not a JSON
+            object, or holds a malformed value.
+    """
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
         raise TransportError(f"malformed wire document: {exc}") from exc
+    if not isinstance(data, dict):
+        raise TransportError(
+            f"malformed wire document: {type(data).__name__}, not an object"
+        )
     return {name: value_from_wire(entry) for name, entry in data.items()}
 
 
 # ----------------------------------------------------------------------
 # Endpoints
 # ----------------------------------------------------------------------
-class SoapEndpoint:
-    """A simulated SOAP service hosting one module operation."""
+ENVELOPE_NS = "http://schemas.xmlsoap.org/soap/envelope/"
+_ENVELOPE_OPEN = f'<ns0:Envelope xmlns:ns0="{ENVELOPE_NS}"><ns0:Body>'
+_ENVELOPE_CLOSE = "</ns0:Body></ns0:Envelope>"
 
-    ENVELOPE_NS = "http://schemas.xmlsoap.org/soap/envelope/"
+
+def soap_envelope(tag: str, text: str) -> str:
+    """The SOAP envelope whose body holds one ``tag`` element of ``text``.
+
+    Byte-identical to ``ElementTree.tostring(envelope, encoding="unicode")``
+    of the ``Envelope/Body/tag`` tree: ElementTree names the envelope
+    namespace ``ns0`` and escapes ``&``, ``<`` and ``>`` in character data.
+    ``text`` is a wire document, so never empty (ElementTree would print
+    an empty element as ``<tag />``).
+    """
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f"{_ENVELOPE_OPEN}<{tag}>{text}</{tag}>{_ENVELOPE_CLOSE}"
+
+
+class SoapEndpoint:
+    """A simulated SOAP service hosting one module operation.
+
+    Envelopes are printed by :func:`soap_envelope` and parsed by a real
+    XML parser (``ElementTree.fromstring``) on both sides.
+    """
 
     def __init__(self, module: Module, ctx: ModuleContext) -> None:
         self.module = module
@@ -85,11 +120,7 @@ class SoapEndpoint:
 
     def build_request(self, bindings: dict[str, TypedValue]) -> str:
         """Build the SOAP request envelope for an invocation."""
-        envelope = ElementTree.Element(f"{{{self.ENVELOPE_NS}}}Envelope")
-        body = ElementTree.SubElement(envelope, f"{{{self.ENVELOPE_NS}}}Body")
-        operation = ElementTree.SubElement(body, self.module.module_id)
-        operation.text = bindings_to_wire(bindings)
-        return ElementTree.tostring(envelope, encoding="unicode")
+        return soap_envelope(self.module.module_id, bindings_to_wire(bindings))
 
     def handle(self, request: str) -> str:
         """Serve a request envelope; returns a response envelope.
@@ -102,7 +133,7 @@ class SoapEndpoint:
             envelope = ElementTree.fromstring(request)
         except ElementTree.ParseError as exc:
             raise SoapFault("Client", f"malformed envelope: {exc}") from exc
-        operation = envelope.find(f"{{{self.ENVELOPE_NS}}}Body/")
+        operation = envelope.find(f"{{{ENVELOPE_NS}}}Body/")
         if operation is None or operation.tag != self.module.module_id:
             raise SoapFault("Client", "unknown operation")
         bindings = bindings_from_wire(operation.text or "{}")
@@ -112,17 +143,15 @@ class SoapEndpoint:
             raise SoapFault("Server", str(exc)) from exc
         except InvalidInputError as exc:
             raise SoapFault("Client", str(exc)) from exc
-        response = ElementTree.Element(f"{{{self.ENVELOPE_NS}}}Envelope")
-        body = ElementTree.SubElement(response, f"{{{self.ENVELOPE_NS}}}Body")
-        result = ElementTree.SubElement(body, f"{self.module.module_id}Response")
-        result.text = bindings_to_wire(outputs)
-        return ElementTree.tostring(response, encoding="unicode")
+        return soap_envelope(
+            f"{self.module.module_id}Response", bindings_to_wire(outputs)
+        )
 
     def call(self, bindings: dict[str, TypedValue]) -> dict[str, TypedValue]:
         """Client stub: request/response round trip through the envelope."""
         response = self.handle(self.build_request(bindings))
         envelope = ElementTree.fromstring(response)
-        result = envelope.find(f"{{{self.ENVELOPE_NS}}}Body/")
+        result = envelope.find(f"{{{ENVELOPE_NS}}}Body/")
         if result is None:
             raise SoapFault("Server", "empty response body")
         return bindings_from_wire(result.text or "{}")

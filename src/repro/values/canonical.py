@@ -1,4 +1,4 @@
-"""The canonical encoding of typed values: one definition of value identity.
+"""The canonical encoding of typed values: one encoder for every document.
 
 Three consumers decide whether two values are "the same" by comparing
 strings built here:
@@ -20,6 +20,21 @@ through one shared ``JSONEncoder`` — so the output is byte-identical to
 the ``json.dumps`` formula without building an encoder or nested dicts
 per call.  Journaled index builds store tokens hashed from these bytes,
 so any change to them is a change of identity, not of speed.
+
+Two more consumers print documents rather than compare them, from the
+same per-value formatter with a different payload encoder — the wire
+form, which keeps a NaN payload as JSON's non-standard ``NaN`` token:
+
+* the simulated wire sends :func:`bindings_wire_json` as every SOAP
+  body, REST body and local program's stdin/stdout
+  (:func:`repro.modules.interfaces.bindings_to_wire`), byte-identical to
+  ``json.dumps({name: value_to_wire(value)}, sort_keys=True)``; fault
+  plans and conformance probes hash those bytes;
+* the campaign journal stores each report as the row
+  :func:`repro.campaign.journal.report_json` prints from
+  :func:`value_wire_json`, byte-identical to
+  ``json.dumps(report_to_dict(report), sort_keys=True)``; campaign
+  digests hash those rows.
 
 The module is stateless: nothing is memoized between calls.
 """
@@ -62,24 +77,57 @@ def payload_json(payload) -> str:
     return _sorted_json(_normalize(payload))
 
 
+def _value_document(value, payload_text) -> str:
+    """One typed value as ``{"concept": …, "payload": …, "structural": …}``,
+    its non-text payload printed by ``payload_text``: the one per-value
+    formatter behind both the canonical and the wire documents."""
+    concept = value.concept
+    payload = value.payload
+    # The text fast path is inlined: this runs once per binding of every
+    # engine call and every wire document.
+    return (
+        f'{{"concept": {"null" if concept is None else _quote(concept)}, "payload": '
+        f"{_quote(payload) if type(payload) is str else payload_text(payload)}, "
+        f'"structural": {_quote(value.structural.name)}}}'
+    )
+
+
+def _bindings_document(bindings, payload_text) -> str:
+    return (
+        "{"
+        + ", ".join(
+            [
+                f"{_quote(name)}: {_value_document(bindings[name], payload_text)}"
+                for name in sorted(bindings)
+            ]
+        )
+        + "}"
+    )
+
+
 def bindings_json(bindings) -> str:
     """The canonical JSON document of a ``name -> TypedValue`` binding map:
     names in sorted order, each value as its concept, payload and
     structural type name — insertion order erased."""
-    parts = []
-    for name in sorted(bindings):
-        value = bindings[name]
-        concept = value.concept
-        payload = value.payload
-        # payload_json's text fast path, inlined: this runs once per
-        # binding of every engine call, and the call is a quarter of it.
-        parts.append(
-            f'{_quote(name)}: {{"concept": '
-            f'{"null" if concept is None else _quote(concept)}, "payload": '
-            f"{_quote(payload) if type(payload) is str else payload_json(payload)}, "
-            f'"structural": {_quote(value.structural.name)}}}'
-        )
-    return "{" + ", ".join(parts) + "}"
+    return _bindings_document(bindings, payload_json)
+
+
+def value_wire_json(value) -> str:
+    """The wire JSON text of one typed value: ``json.dumps(value_to_wire(
+    value), sort_keys=True)`` — the canonical form, except that a NaN
+    payload prints as ``NaN``.
+
+    Raises:
+        TypeError: The payload (or a part of it) is not JSON-encodable.
+    """
+    return _value_document(value, _sorted_json)
+
+
+def bindings_wire_json(bindings) -> str:
+    """The wire JSON document of a ``name -> TypedValue`` binding map:
+    :func:`bindings_json`'s layout with :func:`value_wire_json`'s
+    payloads."""
+    return _bindings_document(bindings, _sorted_json)
 
 
 def sorted_payloads_json(payloads) -> str:

@@ -72,6 +72,26 @@ class TestWireSerialization:
         with pytest.raises(TransportError):
             bindings_from_wire("{not json")
 
+    @pytest.mark.parametrize("document", ["[]", "null", "1", '"x"'])
+    def test_document_that_is_not_an_object(self, document):
+        with pytest.raises(TransportError, match="not an object"):
+            bindings_from_wire(document)
+
+    @pytest.mark.parametrize("payload", ["abc", {"a": 1, "b": 2}, 7, None])
+    def test_list_value_requires_an_array(self, payload):
+        wire = {"structural": "List[String]", "payload": payload, "concept": None}
+        with pytest.raises(TransportError, match="not an array"):
+            value_from_wire(wire)
+
+    def test_list_value_from_an_array(self):
+        wire = {"structural": "List[String]", "payload": ["a", "b"], "concept": None}
+        assert value_from_wire(wire).payload == ("a", "b")
+
+    @pytest.mark.parametrize("structural", [None, 5, ["String"]])
+    def test_structural_that_is_not_a_name(self, structural):
+        with pytest.raises(TransportError):
+            value_from_wire({"structural": structural, "payload": "x"})
+
 
 class TestSoap(object):
     def test_round_trip(self, ctx):
@@ -131,6 +151,15 @@ class TestRest:
         status, _body = RestEndpoint(module, ctx).handle("POST", "/nope", "{}")
         assert status == 404
 
+    @pytest.mark.parametrize("body", ["[]", "null", "1"])
+    def test_document_that_is_not_an_object_is_400(self, ctx, body):
+        module = _make_module(InterfaceKind.REST_SERVICE)
+        status, reply = RestEndpoint(module, ctx).handle(
+            "POST", "/services/t.double", body
+        )
+        assert status == 400
+        assert "not an object" in reply
+
     def test_wrong_method_is_405(self, ctx):
         module = _make_module(InterfaceKind.REST_SERVICE)
         status, _body = RestEndpoint(module, ctx).handle(
@@ -152,6 +181,22 @@ class TestLocalProgram:
         )
         assert exit_code == 2
         assert "invalid input" in err
+
+    @pytest.mark.parametrize("stdin", ["[]", "null", "1"])
+    def test_stdin_that_is_not_an_object_is_exit_2(self, ctx, stdin):
+        module = _make_module(InterfaceKind.LOCAL_PROGRAM)
+        exit_code, _out, err = LocalProgram(module, ctx).run(stdin)
+        assert exit_code == 2
+        assert "bad stdin" in err
+
+    def test_list_stdin_value_that_is_not_an_array_is_exit_2(self, ctx):
+        module = _make_module(InterfaceKind.LOCAL_PROGRAM)
+        stdin = (
+            '{"x": {"concept": null, "payload": "abc", "structural": "List[String]"}}'
+        )
+        exit_code, _out, err = LocalProgram(module, ctx).run(stdin)
+        assert exit_code == 2
+        assert "not an array" in err
 
     def test_unavailable_is_exit_127(self, ctx):
         module = _make_module(InterfaceKind.LOCAL_PROGRAM)
