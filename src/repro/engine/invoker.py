@@ -127,6 +127,67 @@ class EngineConfig:
     max_traces: int = 1000
 
 
+class _TelemetryHooks:
+    """The wrapped layers' callbacks into the engine's telemetry.
+
+    They live apart from :class:`InvocationEngine` so that the layers
+    hold no reference back to the engine: an engine dropped by its last
+    user is freed at once by reference counting, with its cache and
+    event log, instead of waiting for the cyclic garbage collector.
+    """
+
+    def __init__(self, telemetry: Telemetry, tracer) -> None:
+        self.telemetry = telemetry
+        self.tracer = tracer
+
+    def fault(self, module: Module, detail: str) -> None:
+        self.telemetry.incr("faults_injected")
+        self.telemetry.event("fault_injected", module.module_id, detail)
+
+    def timeout(self, module: Module, budget: float) -> None:
+        self.telemetry.incr("watchdog_timeouts")
+        self.telemetry.event(
+            "watchdog_timeout", module.module_id, f"budget {budget:.3f}s"
+        )
+
+    def violation(self, module: Module, error: MalformedOutputError) -> None:
+        self.telemetry.incr("conformance_violations")
+        self.telemetry.event(
+            "conformance_violation", module.module_id, type(error).__name__
+        )
+
+    def retry(
+        self, module: Module, attempt: int, error: ModuleUnavailableError
+    ) -> None:
+        self.telemetry.incr("retries")
+        self.telemetry.event(
+            "retry", module.module_id, f"attempt {attempt}: {type(error).__name__}"
+        )
+        if self.tracer is not None:
+            self.tracer.incr_root("retries")
+
+    def exhausted(self, module: Module, error: ModuleUnavailableError) -> None:
+        self.telemetry.incr("retries_exhausted")
+        self.telemetry.event(
+            "retry_exhausted", module.module_id, type(error).__name__
+        )
+
+    def transition(
+        self, provider: str, old: BreakerState, new: BreakerState
+    ) -> None:
+        if new is BreakerState.OPEN:
+            self.telemetry.incr("breaker_opened")
+        elif new is BreakerState.CLOSED:
+            self.telemetry.incr("breaker_closed")
+        self.telemetry.event(
+            "breaker_transition", provider, f"{old.value} -> {new.value}"
+        )
+
+    def fast_fail(self, module: Module) -> None:
+        self.telemetry.incr("breaker_fast_fails")
+        self.telemetry.event("breaker_fast_fail", module.module_id, module.provider)
+
+
 class InvocationEngine:
     """The execution layer all module invocations flow through."""
 
@@ -188,22 +249,23 @@ class InvocationEngine:
         )
         if layered:
             stack = traced("direct", stack)
+        hooks = _TelemetryHooks(self.telemetry, tracer)
         self.fault_injector = None
         if config.fault_plan is not None:
             stack = self.fault_injector = FaultInjectingInvoker(
-                stack, config.fault_plan, sleep=sleep, on_fault=self._note_fault
+                stack, config.fault_plan, sleep=sleep, on_fault=hooks.fault
             )
             stack = traced("faults", stack)
         self.conformance = None
         if config.conformance is not None:
             stack = self.conformance = ConformingInvoker(
-                stack, config.conformance, on_violation=self._note_violation
+                stack, config.conformance, on_violation=hooks.violation
             )
             stack = traced("conformance", stack)
         self.watchdog = None
         if config.watchdog is not None:
             stack = self.watchdog = WatchdogInvoker(
-                stack, config.watchdog, on_timeout=self._note_timeout,
+                stack, config.watchdog, on_timeout=hooks.timeout,
                 tracer=tracer,
             )
             stack = traced("watchdog", stack)
@@ -213,20 +275,20 @@ class InvocationEngine:
                 config.retry,
                 clock=clock,
                 sleep=sleep,
-                on_retry=self._note_retry,
-                on_exhausted=self._note_exhausted,
+                on_retry=hooks.retry,
+                on_exhausted=hooks.exhausted,
             )
             stack = traced("retry", stack)
         self.breaker = (
             CircuitBreaker(
-                config.breaker, clock=clock, on_transition=self._note_transition
+                config.breaker, clock=clock, on_transition=hooks.transition
             )
             if config.breaker is not None
             else None
         )
         if self.breaker is not None:
             stack = CircuitBreakingInvoker(
-                stack, self.breaker, on_fast_fail=self._note_fast_fail
+                stack, self.breaker, on_fast_fail=hooks.fast_fail
             )
             stack = traced("breaker", stack)
         self.invoker = stack
@@ -237,56 +299,6 @@ class InvocationEngine:
             if config.cache_size is not None
             else None
         )
-
-    # ------------------------------------------------------------------
-    # Telemetry hooks for the wrapped layers
-    # ------------------------------------------------------------------
-    def _note_fault(self, module: Module, detail: str) -> None:
-        self.telemetry.incr("faults_injected")
-        self.telemetry.event("fault_injected", module.module_id, detail)
-
-    def _note_timeout(self, module: Module, budget: float) -> None:
-        self.telemetry.incr("watchdog_timeouts")
-        self.telemetry.event(
-            "watchdog_timeout", module.module_id, f"budget {budget:.3f}s"
-        )
-
-    def _note_violation(self, module: Module, error: MalformedOutputError) -> None:
-        self.telemetry.incr("conformance_violations")
-        self.telemetry.event(
-            "conformance_violation", module.module_id, type(error).__name__
-        )
-
-    def _note_retry(
-        self, module: Module, attempt: int, error: ModuleUnavailableError
-    ) -> None:
-        self.telemetry.incr("retries")
-        self.telemetry.event(
-            "retry", module.module_id, f"attempt {attempt}: {type(error).__name__}"
-        )
-        if self.tracer is not None:
-            self.tracer.incr_root("retries")
-
-    def _note_exhausted(self, module: Module, error: ModuleUnavailableError) -> None:
-        self.telemetry.incr("retries_exhausted")
-        self.telemetry.event(
-            "retry_exhausted", module.module_id, type(error).__name__
-        )
-
-    def _note_transition(
-        self, provider: str, old: BreakerState, new: BreakerState
-    ) -> None:
-        if new is BreakerState.OPEN:
-            self.telemetry.incr("breaker_opened")
-        elif new is BreakerState.CLOSED:
-            self.telemetry.incr("breaker_closed")
-        self.telemetry.event(
-            "breaker_transition", provider, f"{old.value} -> {new.value}"
-        )
-
-    def _note_fast_fail(self, module: Module) -> None:
-        self.telemetry.incr("breaker_fast_fails")
-        self.telemetry.event("breaker_fast_fail", module.module_id, module.provider)
 
     # ------------------------------------------------------------------
     def invoke(

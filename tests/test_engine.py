@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.engine import (
+    BreakerPolicy,
+    ConformancePolicy,
     DeadlineExceededError,
     DirectInvoker,
     EngineConfig,
@@ -17,6 +22,7 @@ from repro.engine import (
     RetryingInvoker,
     RetryPolicy,
     Telemetry,
+    WatchdogPolicy,
     canonical_key,
 )
 from repro.modules.errors import (
@@ -501,6 +507,30 @@ class TestInvocationEngine:
         assert stats["cache"]["misses"] == 1
         kinds = {event.kind for event in engine.telemetry.events()}
         assert {"fault_injected", "retry", "call"} <= kinds
+
+    def test_full_stack_is_freed_without_the_cycle_collector(
+        self, module, ctx, good_bindings
+    ):
+        """No layer holds a reference back to the engine, so dropping it
+        frees its cache and event log at once."""
+        engine = InvocationEngine(
+            EngineConfig(
+                cache_size=16,
+                retry=RetryPolicy(max_attempts=2),
+                fault_plan=FaultPlan(),
+                conformance=ConformancePolicy(),
+                watchdog=WatchdogPolicy(budget=5.0),
+                breaker=BreakerPolicy(),
+            )
+        )
+        engine.invoke(module, ctx, good_bindings)
+        alive = weakref.ref(engine)
+        gc.disable()
+        try:
+            del engine
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_render_stats_mentions_every_layer(self):
         engine = InvocationEngine(EngineConfig(cache_size=4, parallelism=3))
