@@ -124,6 +124,7 @@ def measure_overheads() -> dict:
 
 def measure_assembly(tmp: Path) -> dict:
     """Journal one trace across four replicas, then time assembly."""
+    from repro.processlog import FLEET_SCOPE, REPLICA
     from repro.serve.state import ServeStateStore
 
     generator = TraceIdGenerator()
@@ -142,8 +143,10 @@ def measure_assembly(tmp: Path) -> dict:
                     }
                 )
                 tracer.close_root(f"module.{index % 16}", token, "ok")
-                store.record_span(replica, tracer.traces()[-1].to_dict())
-        n_spans = store.span_count()
+                store.processes.record_span(
+                    REPLICA, FLEET_SCOPE, replica, tracer.traces()[-1].to_dict()
+                )
+        n_spans = len(store.processes.spans(FLEET_SCOPE))
     finally:
         store.close()
 

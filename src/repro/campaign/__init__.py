@@ -61,7 +61,6 @@ from repro.campaign.sharding import (
     shard_campaign_id,
     shard_journal_path,
     shard_plan,
-    shard_statuses,
     worker_rows,
 )
 from repro.campaign.supervisor import CampaignSupervisor
@@ -92,7 +91,6 @@ __all__ = [
     "shard_campaign_id",
     "shard_journal_path",
     "shard_plan",
-    "shard_statuses",
     "shard_worker_main",
     "worker_config",
     "worker_rows",

@@ -28,6 +28,8 @@ from repro.core.examples import Binding, DataExample
 from repro.core.generation import GenerationReport
 from repro.core.quarantine import QuarantinedExample
 from repro.modules.interfaces import value_from_wire, value_to_wire
+from repro.processlog import SCHEMA as _PROCESS_SCHEMA
+from repro.processlog import SHARD_WORKER, SUPERVISOR, ProcessLog
 from repro.values import TypedValue, value_wire_json
 
 #: Journal lifecycle states of one campaign.
@@ -35,7 +37,10 @@ RUNNING = "running"
 COMPLETE = "complete"
 DEGRADED = "degraded"
 
-_SCHEMA = """
+#: Marks a shard worker's campaign id (see :func:`shard_campaign_id`).
+_SHARD_MARK = "::shard-"
+
+_SCHEMA = _PROCESS_SCHEMA + """
 CREATE TABLE IF NOT EXISTS campaigns (
     campaign_id TEXT PRIMARY KEY,
     seed INTEGER NOT NULL,
@@ -51,17 +56,6 @@ CREATE TABLE IF NOT EXISTS campaign_entries (
     report_json TEXT NOT NULL,
     PRIMARY KEY (campaign_id, module_id)
 );
-CREATE TABLE IF NOT EXISTS campaign_spans (
-    span_seq INTEGER PRIMARY KEY AUTOINCREMENT,
-    campaign_id TEXT NOT NULL REFERENCES campaigns(campaign_id),
-    module_id TEXT NOT NULL,
-    outcome TEXT NOT NULL,
-    start_ms REAL NOT NULL,
-    duration_ms REAL NOT NULL,
-    span_json TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS campaign_spans_by_campaign
-    ON campaign_spans (campaign_id, module_id);
 CREATE TABLE IF NOT EXISTS campaign_snapshots (
     snap_seq INTEGER PRIMARY KEY AUTOINCREMENT,
     campaign_id TEXT NOT NULL,
@@ -82,34 +76,11 @@ CREATE TABLE IF NOT EXISTS campaign_alerts (
 );
 CREATE INDEX IF NOT EXISTS campaign_alerts_by_campaign
     ON campaign_alerts (campaign_id);
-CREATE TABLE IF NOT EXISTS worker_events (
-    event_seq INTEGER PRIMARY KEY AUTOINCREMENT,
-    campaign_id TEXT NOT NULL,
-    t_wall REAL NOT NULL,
-    worker INTEGER NOT NULL,
-    shard INTEGER NOT NULL,
-    kind TEXT NOT NULL,
-    detail TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS worker_events_by_campaign
-    ON worker_events (campaign_id);
 CREATE TABLE IF NOT EXISTS match_signatures (
     campaign_id TEXT NOT NULL,
     module_id TEXT NOT NULL,
     signature_json TEXT NOT NULL,
     PRIMARY KEY (campaign_id, module_id)
-);
-CREATE TABLE IF NOT EXISTS shard_status (
-    campaign_id TEXT NOT NULL,
-    shard INTEGER NOT NULL,
-    worker INTEGER NOT NULL,
-    pid INTEGER NOT NULL,
-    attempt INTEGER NOT NULL,
-    invocations INTEGER NOT NULL,
-    phase TEXT NOT NULL,
-    heartbeat_wall REAL NOT NULL,
-    stats_json TEXT NOT NULL,
-    PRIMARY KEY (campaign_id, shard)
 );
 """
 
@@ -140,6 +111,13 @@ def open_wal(
         connection.execute("PRAGMA synchronous = NORMAL")
         connection.executescript(schema)
     return connection
+
+
+def shard_campaign_id(campaign_id: str, shard: int) -> str:
+    """The campaign id a worker runs its shard under (in its own
+    journal), namespaced so shard rows can never collide with the main
+    campaign even if both tables land in one file."""
+    return f"{campaign_id}{_SHARD_MARK}{shard:02d}"
 
 
 # ----------------------------------------------------------------------
@@ -343,6 +321,10 @@ class CampaignJournal:
     from workers) behind a lock; every record is its own committed
     transaction, so a SIGKILL at any point leaves a consistent journal.
 
+    The journal also carries the process tables of the campaign's
+    workers (:mod:`repro.processlog`), written through
+    :attr:`processes`.
+
     The database is opened in **WAL mode with an explicit busy timeout**:
     sharded campaigns have one writer per shard journal plus concurrent
     readers (the supervisor's heartbeat poll, ``repro-cli top`` in
@@ -362,6 +344,8 @@ class CampaignJournal:
         self.path = str(path)
         self._lock = threading.Lock()
         self._connection = open_wal(self.path, _SCHEMA, busy_timeout)
+        #: Status rows, lifecycle events and spans of the processes.
+        self.processes = ProcessLog(self._connection, self._lock)
 
     def close(self) -> None:
         with self._lock:
@@ -499,7 +483,8 @@ class CampaignJournal:
                 self._connection.execute("DETACH DATABASE source")
 
     # ------------------------------------------------------------------
-    # Spans (the campaign flight recorder)
+    # Process rows: spans (the campaign flight recorder) and the worker
+    # lifecycle of sharded multi-process campaigns
     # ------------------------------------------------------------------
     def record_span(self, campaign_id: str, span: dict) -> None:
         """Commit one completed invocation span tree.
@@ -508,53 +493,19 @@ class CampaignJournal:
         entries — so a SIGKILLed campaign keeps every trace that finished
         before the kill.  Spans are *observations*, not results: they
         live in their own table and never feed report reassembly, so the
-        kill/resume byte-identity guarantee is untouched.
+        kill/resume byte-identity guarantee is untouched.  A span
+        journaled under a shard campaign id is that shard worker's; any
+        other is the supervisor's.
         """
-        payload = json.dumps(span, sort_keys=True)
-        with self._lock, self._connection:
-            self._connection.execute(
-                "INSERT INTO campaign_spans "
-                "(campaign_id, module_id, outcome, start_ms, duration_ms, span_json) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                (
-                    campaign_id,
-                    span.get("module_id", ""),
-                    span.get("outcome", "ok"),
-                    span.get("start_ms", 0.0),
-                    span.get("duration_ms", 0.0),
-                    payload,
-                ),
-            )
+        head, _, shard = campaign_id.rpartition(_SHARD_MARK)
+        if head and shard.isdigit():
+            self.processes.record_span(SHARD_WORKER, campaign_id, int(shard), span)
+        else:
+            self.processes.record_span(SUPERVISOR, campaign_id, None, span)
 
-    def spans(
-        self, campaign_id: str, module_id: "str | None" = None
-    ) -> "list[dict]":
-        """Journaled span trees of one campaign, recording order.
-
-        Args:
-            campaign_id: The campaign.
-            module_id: Restrict to one module's invocations.
-        """
-        query = (
-            "SELECT span_json FROM campaign_spans WHERE campaign_id = ?"
-        )
-        params: tuple = (campaign_id,)
-        if module_id is not None:
-            query += " AND module_id = ?"
-            params += (module_id,)
-        query += " ORDER BY span_seq"
-        with self._lock:
-            rows = self._connection.execute(query, params).fetchall()
-        return [json.loads(row[0]) for row in rows]
-
-    def span_count(self, campaign_id: str) -> int:
-        """Journaled spans of one campaign."""
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT COUNT(*) FROM campaign_spans WHERE campaign_id = ?",
-                (campaign_id,),
-            ).fetchone()
-        return row[0]
+    def worker_events(self, campaign_id: str) -> "list[dict]":
+        """The worker lifecycle timeline of one campaign, recording order."""
+        return self.processes.events(SHARD_WORKER, campaign_id)
 
     # ------------------------------------------------------------------
     # Snapshots (the longitudinal time-series, PR 5)
@@ -645,127 +596,6 @@ class CampaignJournal:
             }
             for row in rows
         ]
-
-    # ------------------------------------------------------------------
-    # Worker lifecycle (sharded multi-process campaigns)
-    # ------------------------------------------------------------------
-    def record_worker_event(
-        self,
-        campaign_id: str,
-        worker: int,
-        shard: int,
-        kind: str,
-        detail: str = "",
-        t_wall: "float | None" = None,
-    ) -> None:
-        """Commit one worker lifecycle event (``spawn`` /
-        ``heartbeat-miss`` / ``crash`` / ``restart`` / ``shard-reassign``
-        / ``shard-done`` / ``shard-degraded``).
-
-        Each event is its own committed transaction, exactly like report
-        entries, so a SIGKILLed supervisor leaves a complete post-mortem
-        timeline: the whole worker history reconstructs from the journal
-        file alone.
-        """
-        import time as _time
-
-        with self._lock, self._connection:
-            self._connection.execute(
-                "INSERT INTO worker_events "
-                "(campaign_id, t_wall, worker, shard, kind, detail) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                (
-                    campaign_id,
-                    t_wall if t_wall is not None else _time.time(),
-                    worker,
-                    shard,
-                    kind,
-                    detail,
-                ),
-            )
-
-    def worker_events(self, campaign_id: str) -> "list[dict]":
-        """The worker lifecycle timeline of one campaign, recording order."""
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT t_wall, worker, shard, kind, detail "
-                "FROM worker_events WHERE campaign_id = ? ORDER BY event_seq",
-                (campaign_id,),
-            ).fetchall()
-        return [
-            {
-                "t_wall": row[0],
-                "worker": row[1],
-                "shard": row[2],
-                "kind": row[3],
-                "detail": row[4],
-            }
-            for row in rows
-        ]
-
-    # ------------------------------------------------------------------
-    # Shard heartbeats (written by workers into their shard journal)
-    # ------------------------------------------------------------------
-    def record_shard_status(
-        self,
-        campaign_id: str,
-        shard: int,
-        worker: int,
-        pid: int,
-        attempt: int,
-        invocations: int,
-        phase: str,
-        stats: "dict | None" = None,
-        heartbeat_wall: "float | None" = None,
-    ) -> None:
-        """Commit the worker's current heartbeat row (last write wins).
-
-        The row carries the worker's full engine-stats snapshot: this is
-        how per-worker telemetry leaves the process without shared
-        memory — the supervisor merges the journaled snapshots at
-        checkpoint boundaries
-        (:func:`repro.engine.telemetry.merge_stats_snapshots`).
-        """
-        import time as _time
-
-        with self._lock, self._connection:
-            self._connection.execute(
-                "INSERT OR REPLACE INTO shard_status VALUES "
-                "(?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    campaign_id,
-                    shard,
-                    worker,
-                    pid,
-                    attempt,
-                    invocations,
-                    phase,
-                    heartbeat_wall if heartbeat_wall is not None else _time.time(),
-                    json.dumps(stats or {}, sort_keys=True),
-                ),
-            )
-
-    def shard_status(self, campaign_id: str, shard: int) -> "dict | None":
-        """The latest heartbeat row of one shard, or ``None``."""
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT worker, pid, attempt, invocations, phase, "
-                "heartbeat_wall, stats_json FROM shard_status "
-                "WHERE campaign_id = ? AND shard = ?",
-                (campaign_id, shard),
-            ).fetchone()
-        if row is None:
-            return None
-        return {
-            "shard": shard,
-            "worker": row[0],
-            "pid": row[1],
-            "attempt": row[2],
-            "invocations": row[3],
-            "phase": row[4],
-            "heartbeat_wall": row[5],
-            "stats": json.loads(row[6]),
-        }
 
     # ------------------------------------------------------------------
     # Match signatures (the signature-index build campaign, PR 9)

@@ -29,17 +29,21 @@ whole scheme crash-tolerant:
 
 from __future__ import annotations
 
+import glob
 import os
 from typing import Mapping
 
+from repro import processlog
 from repro.campaign.journal import (
     COMPLETE,
     DEGRADED,
     CampaignJournal,
     CampaignMeta,
+    shard_campaign_id,
 )
 from repro.campaign.runner import CampaignResult
 from repro.core.generation import GenerationReport
+from repro.processlog import SHARD_WORKER
 
 
 def shard_plan(module_ids: "list[str]", n_shards: int) -> "list[list[str]]":
@@ -63,11 +67,23 @@ def shard_journal_path(db_path: "str | os.PathLike", shard: int) -> str:
     return f"{db_path}.shard-{shard:02d}"
 
 
-def shard_campaign_id(campaign_id: str, shard: int) -> str:
-    """The campaign id a worker runs its shard under (in its own
-    journal), namespaced so shard rows can never collide with the main
-    campaign even if both tables land in one file."""
-    return f"{campaign_id}::shard-{shard:02d}"
+def campaign_journals(
+    db_path: "str | os.PathLike", campaign_id: str
+) -> "list[tuple[str, str]]":
+    """Every journal file of one campaign, each with the scope its
+    process rows are under: the main journal (the campaign id), then
+    each shard journal that exists beside it (its shard campaign id),
+    in shard order."""
+    prefix = shard_journal_path(db_path, 0)[:-2]
+    shards = sorted(
+        int(path[len(prefix):])
+        for path in glob.glob(glob.escape(prefix) + "[0-9]*")
+        if path[len(prefix):].isdigit()
+    )
+    return [(str(db_path), campaign_id)] + [
+        (shard_journal_path(db_path, shard), shard_campaign_id(campaign_id, shard))
+        for shard in shards
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -150,26 +166,15 @@ def shard_status(
     db_path: "str | os.PathLike", campaign_id: str, shard: int
 ) -> "dict | None":
     """The latest heartbeat row of one shard (``None`` while its shard
-    journal does not exist yet or holds no heartbeat)."""
-    path = shard_journal_path(db_path, shard)
-    if not os.path.exists(str(path)):
-        return None
-    shard_journal = CampaignJournal(path)
-    try:
-        return shard_journal.shard_status(
-            shard_campaign_id(campaign_id, shard), shard
+    journal does not exist yet or holds no heartbeat), read without
+    writing."""
+    with processlog.reading(shard_journal_path(db_path, shard)) as log:
+        rows = (
+            log.status(SHARD_WORKER, shard_campaign_id(campaign_id, shard), shard)
+            if log is not None
+            else []
         )
-    finally:
-        shard_journal.close()
-
-
-def shard_statuses(
-    db_path: "str | os.PathLike", campaign_id: str, n_shards: int
-) -> "list[dict | None]":
-    """The latest heartbeat row of every shard (see :func:`shard_status`)."""
-    return [
-        shard_status(db_path, campaign_id, shard) for shard in range(n_shards)
-    ]
+    return rows[0] if rows else None
 
 
 def worker_rows(
@@ -184,6 +189,8 @@ def worker_rows(
     Everything is read from the journals alone — the supervisor may be
     alive in another process, or long dead — so ``repro-cli top`` and
     ``campaign workers`` reconstruct the worker fleet post-mortem.
+    Liveness and restarts are :func:`repro.processlog.fold`'s; a
+    ``shard-degraded`` event overrides the journaled phase.
 
     Args:
         db_path: The main journal file (shard paths derive from it).
@@ -207,22 +214,17 @@ def worker_rows(
     n_shards = max(1, int(config.get("workers", 1) or 1))
     heartbeat_timeout = float(config.get("heartbeat_timeout", 10.0) or 10.0)
     plan = shard_plan(list(meta.module_ids), n_shards)
-    now = now if now is not None else _time.time()
-
-    restarts = [0] * n_shards
-    degraded = [False] * n_shards
-    for event in events:
-        if 0 <= event["shard"] < n_shards:
-            if event["kind"] == "restart":
-                restarts[event["shard"]] += 1
-            elif event["kind"] == "shard-degraded":
-                degraded[event["shard"]] = True
+    degraded = {
+        event["shard"] for event in events if event["kind"] == "shard-degraded"
+    }
 
     rows: "list[dict]" = []
-    for shard, status in enumerate(
-        shard_statuses(db_path, campaign_id, n_shards)
-    ):
-        n_done = n_skipped = 0
+    for shard in range(n_shards):
+        status = shard_status(db_path, campaign_id, shard) or {
+            "worker": shard, "pid": 0, "attempt": 0, "invocations": 0,
+            "phase": "pending", "heartbeat_wall": None, "stats": {},
+        }
+        counts = {"n_done": 0, "n_skipped": 0}
         path = shard_journal_path(db_path, shard)
         if os.path.exists(str(path)):
             shard_journal = CampaignJournal(path)
@@ -230,41 +232,27 @@ def worker_rows(
                 counts = shard_journal.progress_counts(
                     shard_campaign_id(campaign_id, shard)
                 )
-                n_done, n_skipped = counts["n_done"], counts["n_skipped"]
             finally:
                 shard_journal.close()
-        heartbeat_age = (
-            max(0.0, now - status["heartbeat_wall"])
-            if status is not None
-            else None
-        )
-        phase = status["phase"] if status is not None else "pending"
-        if degraded[shard]:
-            phase = "degraded"
         rows.append(
             {
+                **status,
+                **counts,
                 "shard": shard,
-                "worker": status["worker"] if status is not None else shard,
-                "pid": status["pid"] if status is not None else 0,
-                "attempt": status["attempt"] if status is not None else 0,
-                "phase": phase,
-                "invocations": (
-                    status["invocations"] if status is not None else 0
-                ),
+                "phase": "degraded" if shard in degraded else status["phase"],
                 "n_planned": len(plan[shard]),
-                "n_done": n_done,
-                "n_skipped": n_skipped,
-                "restarts": restarts[shard],
-                "heartbeat_age": heartbeat_age,
-                "alive": (
-                    phase == "running"
-                    and heartbeat_age is not None
-                    and heartbeat_age <= heartbeat_timeout
-                ),
-                "stats": status["stats"] if status is not None else {},
             }
         )
-    return rows
+    return [
+        {key: value for key, value in row.items() if key != "heartbeat_wall"}
+        for row in processlog.fold(
+            SHARD_WORKER,
+            rows,
+            events,
+            now if now is not None else _time.time(),
+            heartbeat_timeout,
+        )
+    ]
 
 
 def merged_worker_stats(rows: "list[dict]") -> dict:

@@ -52,10 +52,10 @@ from repro.campaign.sharding import (
     shard_journal_path,
     shard_plan,
     shard_status,
-    shard_statuses,
 )
 from repro.campaign.worker import shard_worker_main, worker_config
 from repro.obs.propagation import TraceContext, campaign_trace_id
+from repro.processlog import SHARD_WORKER
 from repro.supervision import Child, ProcessSupervisor, current_beat
 
 
@@ -228,12 +228,13 @@ class CampaignSupervisor:
             old_worker = self._workers[child.index]
             self._workers[child.index] = max(self._workers) + 1
             detail = f"worker {old_worker} -> {self._workers[child.index]}, {detail}"
-        self._journal.record_worker_event(
+        self._journal.processes.record_event(
+            SHARD_WORKER,
             self._campaign_id,
+            child.index,
+            _SHARD_KINDS.get(kind, kind),
+            detail,
             worker=self._workers[child.index],
-            shard=child.index,
-            kind=_SHARD_KINDS.get(kind, kind),
-            detail=detail,
             t_wall=t_wall,
         )
 
@@ -283,7 +284,10 @@ class CampaignSupervisor:
         manifest."""
         from repro.engine.telemetry import merge_stats_snapshots
 
-        statuses = shard_statuses(self.db_path, campaign_id, n_shards)
+        statuses = [
+            shard_status(self.db_path, campaign_id, shard)
+            for shard in range(n_shards)
+        ]
         merged = merge_stats_snapshots(
             [status["stats"] for status in statuses if status is not None]
         )

@@ -11,8 +11,9 @@ respawned by the supervisor simply resumes where the journal left off.
 
 On top of the runner the worker adds exactly one thing: a heartbeat
 thread (:class:`repro.supervision.Heartbeat`, the one serving replicas
-run too) that commits a ``shard_status`` row (phase, invocation count,
-and the full ``engine.stats()`` snapshot) into the shard journal every
+run too) that commits its status row (:mod:`repro.processlog`: phase,
+invocation count, and the full ``engine.stats()`` snapshot) into the
+shard journal every
 ``heartbeat_interval`` seconds.  The snapshot row is how per-worker
 telemetry leaves the process without any shared memory; the supervisor
 merges the journaled snapshots at checkpoint boundaries.  When the
@@ -30,11 +31,13 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 from repro.campaign.journal import CampaignJournal
 from repro.campaign.runner import CampaignConfig, CampaignRunner
 from repro.obs.profiler import PROFILE_EVENT_KIND, maybe_start_profiler
 from repro.obs.propagation import TraceContext, propagation_scope
+from repro.processlog import SHARD_WORKER
 from repro.supervision import Heartbeat
 
 
@@ -102,24 +105,27 @@ def shard_worker_main(spec: dict) -> int:
     context = TraceContext.from_dict(spec.get("trace_context"))
     profiler = maybe_start_profiler()
     journal = CampaignJournal(spec["journal_path"])
+    started_wall = time.time()
     try:
         runner = CampaignRunner(ctx, shard_modules, pool, journal, config)
         engine = runner.engine
 
         def beat(phase: str) -> None:
             injector = engine.fault_injector
-            journal.record_shard_status(
+            journal.processes.record_status(
+                SHARD_WORKER,
                 spec["campaign_id"],
                 spec["shard"],
                 worker=spec["worker"],
                 pid=os.getpid(),
                 attempt=spec["attempt"],
-                invocations=(
+                work=(
                     injector.invocations
                     if injector is not None
                     else engine.telemetry.snapshot()["counters"].get("calls", 0)
                 ),
                 phase=phase,
+                started_wall=started_wall,
                 stats=engine.stats(),
             )
 
@@ -153,12 +159,13 @@ def shard_worker_main(spec: dict) -> int:
         finally:
             heartbeat.stop(final_phase="done")
         if profiler is not None:
-            journal.record_worker_event(
+            journal.processes.record_event(
+                SHARD_WORKER,
                 spec["campaign_id"],
+                spec["shard"],
+                PROFILE_EVENT_KIND,
+                json.dumps(profiler.stop(), sort_keys=True),
                 worker=spec["worker"],
-                shard=spec["shard"],
-                kind=PROFILE_EVENT_KIND,
-                detail=json.dumps(profiler.stop(), sort_keys=True),
             )
     finally:
         journal.close()

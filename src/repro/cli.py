@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from repro.core.composition import CompositionAdvisor
@@ -694,10 +695,11 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
     the supervisor is alive and post-mortem."""
     import time as _time
 
-    from repro.serve import ServeStateStore, has_serve_state
+    from repro.processlog import FLEET_SCOPE, REPLICA, has_status
+    from repro.serve import ServeStateStore
     from repro.serve.fleet import FLEET
 
-    if not has_serve_state(args.db):
+    if not has_status(args.db, REPLICA, FLEET_SCOPE):
         print(
             f"error: no serving-fleet state in {args.db} "
             "(run `repro-cli serve --replicas N --db ...` first)",
@@ -808,29 +810,25 @@ def _fleet_trace(args: argparse.Namespace) -> int:
     and shard-worker spans from the campaign journal and its derived
     shard journals.  The positional id may be a trace id or a campaign
     id (a campaign's trace id is derived from its campaign id)."""
-    import os
-
     from repro.campaign import CampaignJournal
     from repro.obs.aggregate import (
-        collect_campaign_spans,
-        collect_serve_spans,
+        collect_fleet_spans,
         render_fleet_trace,
         spans_for_trace,
         trace_ids,
     )
     from repro.obs.propagation import campaign_trace_id, normalize_trace_id
 
-    if not os.path.exists(args.db):
-        print(f"error: no journal {args.db}", file=sys.stderr)
+    if _no_journal(args.db):
         return 2
-    spans = list(collect_serve_spans(args.db))
+    spans = collect_fleet_spans(state_db=args.db)
     journal = CampaignJournal(args.db)
     try:
         metas = journal.campaigns()
     finally:
         journal.close()
     for meta in metas:
-        spans.extend(collect_campaign_spans(args.db, meta.campaign_id))
+        spans += collect_fleet_spans(journal_db=args.db, campaign_id=meta.campaign_id)
     known = trace_ids(spans)
     target = normalize_trace_id(args.campaign_id)
     if target not in known:
@@ -900,10 +898,21 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _no_journal(path: str) -> bool:
+    """Report a missing journal file; read-only commands never create
+    one (exit 2)."""
+    if os.path.exists(path):
+        return False
+    print(f"error: no journal {path}", file=sys.stderr)
+    return True
+
+
 def _open_campaign_journal(args: argparse.Namespace):
     """Open the journal and verify the campaign exists (exit 2 on miss)."""
     from repro.campaign import CampaignJournal, UnknownCampaignError
 
+    if _no_journal(args.db):
+        return None
     journal = CampaignJournal(args.db)
     try:
         journal.meta(args.campaign_id)
@@ -949,58 +958,24 @@ def cmd_top(args: argparse.Namespace) -> int:
 def _journaled_profiles(args: argparse.Namespace, kind: str) -> "list[dict]":
     """Load the profile dicts the fleet journaled at drain / shard end.
 
-    ``--serve`` reads the serve state store's event timeline;
-    ``--campaign`` reads the main journal's worker events plus every
-    derived shard journal's — the same discovery rule as span assembly.
+    ``--serve`` reads the replicas' event timeline in the state store;
+    ``--campaign`` reads the worker events of the main journal and of
+    every shard journal beside it — the same discovery rule as span
+    assembly.
     """
-    import json as _json
-    import os
+    from repro.campaign.sharding import campaign_journals
+    from repro.processlog import FLEET_SCOPE, REPLICA, SHARD_WORKER, collect
 
-    profiles: "list[dict]" = []
     if args.serve:
-        from repro.serve.state import ServeStateStore, has_serve_state
-
-        if not has_serve_state(args.db):
-            return []
-        store = ServeStateStore(args.db)
-        try:
-            events = store.events()
-        finally:
-            store.close()
-        for event in events:
-            if event["kind"] == kind and event["detail"]:
-                profiles.append(_json.loads(event["detail"]))
-        return profiles
-    from repro.campaign import CampaignJournal, UnknownCampaignError
-    from repro.campaign.sharding import shard_campaign_id, shard_journal_path
-
-    journal = CampaignJournal(args.db)
-    try:
-        try:
-            meta = journal.meta(args.campaign)
-        except UnknownCampaignError:
-            return []
-        for event in journal.worker_events(args.campaign):
-            if event["kind"] == kind and event["detail"]:
-                profiles.append(_json.loads(event["detail"]))
-        n_shards = max(1, int((meta.config or {}).get("workers", 1) or 1))
-    finally:
-        journal.close()
-    for shard in range(n_shards):
-        path = shard_journal_path(args.db, shard)
-        if not os.path.exists(path):
-            continue
-        shard_journal = CampaignJournal(path)
-        try:
-            events = shard_journal.worker_events(
-                shard_campaign_id(args.campaign, shard)
-            )
-        finally:
-            shard_journal.close()
-        for event in events:
-            if event["kind"] == kind and event["detail"]:
-                profiles.append(_json.loads(event["detail"]))
-    return profiles
+        role, sources = REPLICA, [(args.db, FLEET_SCOPE)]
+    else:
+        role, sources = SHARD_WORKER, campaign_journals(args.db, args.campaign)
+    events = collect(sources, lambda log, scope: log.events(role, scope))
+    return [
+        json.loads(event["detail"])
+        for event in events
+        if event["kind"] == kind and event["detail"]
+    ]
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -1028,6 +1003,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 "error: journaled profiles need --db",
                 file=sys.stderr,
             )
+            return 2
+        if _no_journal(args.db):
             return 2
         profiles = _journaled_profiles(args, PROFILE_EVENT_KIND)
         if not profiles:
@@ -1218,6 +1195,8 @@ def cmd_campaign_status(args: argparse.Namespace) -> int:
         campaign_progress,
     )
 
+    if _no_journal(args.db):
+        return 2
     journal = CampaignJournal(args.db)
     try:
         if args.campaign_id is not None:
@@ -1272,6 +1251,8 @@ def cmd_campaign_workers(args: argparse.Namespace) -> int:
         worker_rows,
     )
 
+    if _no_journal(args.db):
+        return 2
     journal = CampaignJournal(args.db)
     try:
         try:

@@ -37,9 +37,7 @@ Fleet views, stitching one logical picture from many processes:
 
 from repro.obs.aggregate import (
     MetricsAggregator,
-    collect_campaign_spans,
     collect_fleet_spans,
-    collect_serve_spans,
     merge_http_snapshots,
     render_fleet_trace,
     span_trace_id,
@@ -153,9 +151,7 @@ __all__ = [
     "parse_traceparent",
     "propagation_scope",
     "MetricsAggregator",
-    "collect_campaign_spans",
     "collect_fleet_spans",
-    "collect_serve_spans",
     "merge_http_snapshots",
     "render_fleet_trace",
     "span_trace_id",

@@ -52,9 +52,9 @@ def _stamp(span: Span, role: str, process_id) -> Span:
     """Default the process-identity attributes a span should carry.
 
     Spans recorded inside a :func:`~repro.obs.propagation.propagation_scope`
-    already have them; spans from older journals (or untraced internal
-    work) get the journal-derived identity so the fleet view never shows
-    an anonymous hop.
+    already have them; any other span (untraced internal work) gets the
+    role and slot of its journal row, so the fleet view never shows an
+    anonymous hop.
     """
     span.attributes.setdefault("process_role", role)
     if process_id is not None:
@@ -62,106 +62,26 @@ def _stamp(span: Span, role: str, process_id) -> Span:
     return span
 
 
-def _has_serve_schema(path: str) -> bool:
-    """Whether ``path`` already carries serve tables, checked read-only.
-
-    Opening a :class:`ServeStateStore` creates the serve schema, so the
-    fleet readers probe first rather than grafting serve tables onto a
-    file that is only a campaign journal.  Unlike ``has_serve_state``
-    this does not require registered replicas — a store holding only
-    spans or stats snapshots is still readable.
-    """
-    import sqlite3
-
-    if not path or not os.path.exists(str(path)):
-        return False
-    try:
-        connection = sqlite3.connect(str(path))
-    except sqlite3.Error:
-        return False
-    try:
-        row = connection.execute(
-            "SELECT 1 FROM sqlite_master WHERE type = 'table' "
-            "AND name = 'serve_spans'"
-        ).fetchone()
-        return row is not None
-    except sqlite3.Error:
-        return False
-    finally:
-        connection.close()
-
-
-def collect_serve_spans(state_db: str) -> "list[Span]":
-    """Every replica span tree in a serve-state file, recording order."""
-    from repro.serve.state import ServeStateStore
-
-    if not _has_serve_schema(state_db):
-        return []
-    store = ServeStateStore(state_db)
-    try:
-        spans = []
-        for data in store.spans():
-            replica = data.pop("_replica", None)
-            spans.append(_stamp(Span.from_dict(data), "replica", replica))
-        return spans
-    finally:
-        store.close()
-
-
-def collect_campaign_spans(
-    journal_db: str, campaign_id: str
-) -> "list[Span]":
-    """Every span tree of one campaign: the main journal plus every
-    derived shard journal (``<db>.shard-NN`` under
-    ``<campaign_id>::shard-NN``), exactly the discovery rule the
-    sharded merge uses — missing shard files contribute nothing."""
-    from repro.campaign.journal import CampaignJournal, UnknownCampaignError
-    from repro.campaign.sharding import shard_campaign_id, shard_journal_path
-
-    if not journal_db or not os.path.exists(str(journal_db)):
-        return []
-    journal = CampaignJournal(journal_db)
-    try:
-        try:
-            meta = journal.meta(campaign_id)
-        except UnknownCampaignError:
-            return []
-        spans = [
-            _stamp(Span.from_dict(data), "supervisor", None)
-            for data in journal.spans(campaign_id)
-        ]
-        n_shards = max(1, int((meta.config or {}).get("workers", 1) or 1))
-    finally:
-        journal.close()
-    for shard in range(n_shards):
-        path = shard_journal_path(journal_db, shard)
-        if not os.path.exists(str(path)):
-            continue
-        shard_journal = CampaignJournal(path)
-        try:
-            for data in shard_journal.spans(
-                shard_campaign_id(campaign_id, shard)
-            ):
-                spans.append(
-                    _stamp(Span.from_dict(data), "shard-worker", shard)
-                )
-        finally:
-            shard_journal.close()
-    return spans
-
-
 def collect_fleet_spans(
     state_db: "str | None" = None,
     journal_db: "str | None" = None,
     campaign_id: "str | None" = None,
 ) -> "list[Span]":
-    """All journaled spans of the fleet: replicas + campaign processes."""
-    spans: "list[Span]" = []
-    if state_db:
-        spans.extend(collect_serve_spans(state_db))
+    """All journaled spans of the fleet: the replicas' (from the serve
+    state file), then the campaign's (its main journal, then each shard
+    journal), each stamped with the role and slot of its row.  Reads
+    only; missing files contribute nothing."""
+    from repro import processlog
+
+    sources = [(state_db, processlog.FLEET_SCOPE)] if state_db else []
     if journal_db and campaign_id:
-        spans.extend(collect_campaign_spans(journal_db, campaign_id))
-    return spans
+        from repro.campaign.sharding import campaign_journals
+
+        sources += campaign_journals(journal_db, campaign_id)
+    return [
+        _stamp(Span.from_dict(data), role, slot)
+        for role, slot, data in processlog.collect(sources)
+    ]
 
 
 def span_trace_id(span: Span) -> str:
@@ -400,28 +320,20 @@ class MetricsAggregator:
     # ------------------------------------------------------------------
     def _replica_sources(self) -> "tuple[list[dict], list[dict]]":
         """``(per-replica stats snapshots, replica gauge rows)``."""
-        store = self._state
-        opened = False
-        if store is None and self._state_db and os.path.exists(
-            str(self._state_db)
-        ):
-            from repro.serve.state import ServeStateStore
+        from contextlib import nullcontext
 
-            if not _has_serve_schema(self._state_db):
+        from repro.processlog import FLEET_SCOPE, REPLICA, reading
+
+        source = (
+            nullcontext(self._state.processes)
+            if self._state is not None
+            else reading(self._state_db)
+        )
+        with source as log:
+            if log is None:
                 return [], []
-            store = ServeStateStore(self._state_db)
-            opened = True
-        if store is None:
-            return [], []
-        try:
-            stats = [
-                snapshot for _, snapshot in sorted(store.replica_stats().items())
-            ]
-            rows = store.replica_rows(now=self._wall())
-            return stats, rows
-        finally:
-            if opened:
-                store.close()
+            stats = list(log.stats(REPLICA, FLEET_SCOPE).values())
+            return stats, log.rows(REPLICA, FLEET_SCOPE, self._wall(), 10.0)
 
     def _worker_sources(self) -> "list[dict]":
         """Per-shard worker gauge rows (their stats ride inside)."""
@@ -475,9 +387,7 @@ class MetricsAggregator:
 
 __all__ = [
     "MetricsAggregator",
-    "collect_campaign_spans",
     "collect_fleet_spans",
-    "collect_serve_spans",
     "merge_http_snapshots",
     "render_fleet_trace",
     "span_trace_id",

@@ -29,6 +29,7 @@ import time
 
 from repro.obs.slo import FIRING, alert_states
 from repro.obs.timeseries import sample_rates
+from repro.processlog import FLEET_SCOPE, REPLICA
 
 #: Frame width the progress bar is fitted to when the terminal size
 #: cannot be measured.
@@ -81,6 +82,20 @@ def _progress_bar(done: int, skipped: int, planned: int, width: int) -> str:
     return "[" + "#" * filled + "-" * dashed + "." * (width - filled - dashed) + "]"
 
 
+def _fleet_summary(label: str, rows: "list[dict]") -> str:
+    """``LABEL  A/N alive[, R restarts][, D degraded]`` over the folded
+    process rows of the worker or replica panel."""
+    alive = sum(1 for row in rows if row["alive"])
+    restarts = sum(row["restarts"] for row in rows)
+    degraded = sum(1 for row in rows if row["phase"] == "degraded")
+    summary = f"  {label:<10} {alive}/{len(rows)} alive"
+    if restarts:
+        summary += f", {restarts} restarts"
+    if degraded:
+        summary += f", {degraded} degraded"
+    return summary
+
+
 def render_dashboard(
     meta,
     progress: dict,
@@ -119,15 +134,7 @@ def render_dashboard(
     if done == 0 and skipped == 0:
         lines.append("  results    no results journaled yet")
     if workers:
-        alive = sum(1 for row in workers if row["alive"])
-        total_restarts = sum(row["restarts"] for row in workers)
-        degraded = sum(1 for row in workers if row["phase"] == "degraded")
-        summary = f"  workers    {alive}/{len(workers)} alive"
-        if total_restarts:
-            summary += f", {total_restarts} restarts"
-        if degraded:
-            summary += f", {degraded} degraded"
-        lines.append(summary)
+        lines.append(_fleet_summary("workers", workers))
         for row in workers:
             heartbeat = (
                 f"hb {row['heartbeat_age']:.1f}s"
@@ -144,12 +151,7 @@ def render_dashboard(
                 f"restarts {row['restarts']:<3} {heartbeat}"
             )
     if replicas:
-        alive = sum(1 for row in replicas if row["alive"])
-        total_restarts = sum(row["restarts"] for row in replicas)
-        summary = f"  replicas   {alive}/{len(replicas)} alive"
-        if total_restarts:
-            summary += f", {total_restarts} restarts"
-        lines.append(summary)
+        lines.append(_fleet_summary("replicas", replicas))
         for row in replicas:
             lines.append(
                 f"    replica {row['replica']:<3} pid {row['pid']:<8} "
@@ -306,16 +308,10 @@ class Dashboard:
             workers = worker_rows(
                 self.journal.path, self.campaign_id, meta=meta, events=events
             )
-        replicas = None
-        # Same lazy-import rule: serve imports obs, not the reverse.
-        from repro.serve.state import ServeStateStore, has_serve_state
-
-        if has_serve_state(self.journal.path):
-            store = ServeStateStore(self.journal.path)
-            try:
-                replicas = store.replica_rows()
-            finally:
-                store.close()
+        replicas = (
+            self.journal.processes.rows(REPLICA, FLEET_SCOPE, time.time(), 10.0)
+            or None
+        )
         return render_dashboard(
             meta,
             progress,

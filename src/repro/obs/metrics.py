@@ -202,6 +202,66 @@ _OUTCOME_COUNTERS = (
 )
 
 
+#: The per-process gauges of the ``workers`` and ``replicas`` sections:
+#: ``(label keys, ((metric, type, help, row key), ...))``, exposition
+#: order.  A row without a heartbeat age emits no age sample.
+_WORKER_GAUGES = (
+    ("worker", "shard"),
+    (
+        ("campaign_worker_up", "gauge",
+         "1 while the shard's worker is running with a fresh heartbeat.",
+         "alive"),
+        ("campaign_worker_invocations_total", "counter",
+         "Provider invocations issued by the shard's current worker.",
+         "invocations"),
+        ("campaign_worker_restarts_total", "counter",
+         "Times the supervisor restarted the shard's worker.", "restarts"),
+        ("campaign_worker_heartbeat_age_seconds", "gauge",
+         "Seconds since the shard's last journaled heartbeat.",
+         "heartbeat_age"),
+        ("campaign_worker_modules_done", "gauge",
+         "Modules the shard has journaled done, against its plan.", "n_done"),
+        ("campaign_worker_modules_planned", "gauge",
+         "Modules planned for the shard.", "n_planned"),
+    ),
+)
+_REPLICA_GAUGES = (
+    ("replica",),
+    (
+        ("serve_replica_up", "gauge",
+         "1 while the replica is running with a fresh heartbeat.", "alive"),
+        ("serve_replica_requests_total", "counter",
+         "HTTP requests served by the replica's current process.",
+         "requests_total"),
+        ("serve_replica_restarts_total", "counter",
+         "Times the supervisor restarted the replica.", "restarts"),
+        ("serve_replica_heartbeat_age_seconds", "gauge",
+         "Seconds since the replica's last journaled heartbeat.",
+         "heartbeat_age"),
+        ("serve_replica_attempt", "gauge",
+         "Spawn attempt of the replica's current process (1 = original).",
+         "attempt"),
+    ),
+)
+
+
+def _render_processes(out: _Lines, rows: "list[dict] | None", gauges) -> None:
+    """One section of per-process gauges, one sample per row and gauge."""
+    if rows is None:
+        return
+    label_keys, specs = gauges
+    metrics = [
+        (out.declare(name, kind, help_text), key)
+        for name, kind, help_text, key in specs
+    ]
+    for row in rows:
+        labels = {key: str(row[key]) for key in label_keys}
+        for metric, key in metrics:
+            value = row.get(key, None if key == "heartbeat_age" else 0)
+            if value is not None:
+                out.sample(metric, value, labels)
+
+
 def render_prometheus(stats: dict, namespace: str = "repro") -> str:
     """Render one engine stats snapshot as Prometheus text exposition.
 
@@ -451,44 +511,7 @@ def render_prometheus(stats: dict, namespace: str = "repro") -> str:
             slo.get("n_firing", 0),
         )
 
-    workers = stats.get("workers")
-    if workers is not None:
-        up_metric = out.declare(
-            "campaign_worker_up", "gauge",
-            "1 while the shard's worker is running with a fresh heartbeat.",
-        )
-        invocations_metric = out.declare(
-            "campaign_worker_invocations_total", "counter",
-            "Provider invocations issued by the shard's current worker.",
-        )
-        restarts_metric = out.declare(
-            "campaign_worker_restarts_total", "counter",
-            "Times the supervisor restarted the shard's worker.",
-        )
-        heartbeat_metric = out.declare(
-            "campaign_worker_heartbeat_age_seconds", "gauge",
-            "Seconds since the shard's last journaled heartbeat.",
-        )
-        done_metric = out.declare(
-            "campaign_worker_modules_done", "gauge",
-            "Modules the shard has journaled done, against its plan.",
-        )
-        planned_metric = out.declare(
-            "campaign_worker_modules_planned", "gauge",
-            "Modules planned for the shard.",
-        )
-        for row in workers:
-            labels = {
-                "worker": str(row["worker"]),
-                "shard": str(row["shard"]),
-            }
-            out.sample(up_metric, 1 if row.get("alive") else 0, labels)
-            out.sample(invocations_metric, row.get("invocations", 0), labels)
-            out.sample(restarts_metric, row.get("restarts", 0), labels)
-            if row.get("heartbeat_age") is not None:
-                out.sample(heartbeat_metric, row["heartbeat_age"], labels)
-            out.sample(done_metric, row.get("n_done", 0), labels)
-            out.sample(planned_metric, row.get("n_planned", 0), labels)
+    _render_processes(out, stats.get("workers"), _WORKER_GAUGES)
 
     match = stats.get("match")
     if match is not None:
@@ -513,37 +536,7 @@ def render_prometheus(stats: dict, namespace: str = "repro") -> str:
             match.get("pruning_ratio", 0.0),
         )
 
-    replicas = stats.get("replicas")
-    if replicas is not None:
-        up_metric = out.declare(
-            "serve_replica_up", "gauge",
-            "1 while the replica is running with a fresh heartbeat.",
-        )
-        requests_metric = out.declare(
-            "serve_replica_requests_total", "counter",
-            "HTTP requests served by the replica's current process.",
-        )
-        restarts_metric = out.declare(
-            "serve_replica_restarts_total", "counter",
-            "Times the supervisor restarted the replica.",
-        )
-        heartbeat_metric = out.declare(
-            "serve_replica_heartbeat_age_seconds", "gauge",
-            "Seconds since the replica's last journaled heartbeat.",
-        )
-        attempt_metric = out.declare(
-            "serve_replica_attempt", "gauge",
-            "Spawn attempt of the replica's current process (1 = original).",
-        )
-        for row in replicas:
-            labels = {"replica": str(row["replica"])}
-            out.sample(up_metric, 1 if row.get("alive") else 0, labels)
-            out.sample(requests_metric, row.get("requests_total", 0), labels)
-            out.sample(restarts_metric, row.get("restarts", 0), labels)
-            if row.get("heartbeat_age") is not None:
-                out.sample(heartbeat_metric, row["heartbeat_age"], labels)
-            out.sample(attempt_metric, row.get("attempt", 0), labels)
-
+    _render_processes(out, stats.get("replicas"), _REPLICA_GAUGES)
     return out.text()
 
 

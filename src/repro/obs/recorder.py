@@ -2,8 +2,8 @@
 
 A campaign's journal (PR 2) already makes *results* crash-safe; the
 flight recorder does the same for *observations*.  Wired as the tracer's
-sink, it commits every completed span tree into the journal's
-``campaign_spans`` table the moment the invocation finishes — its own
+sink, it commits every completed span tree into the journal's span
+table (:mod:`repro.processlog`) the moment the invocation finishes — its own
 transaction, exactly like report entries — so a SIGKILLed campaign
 leaves a complete timeline of everything that ran before the kill, and
 ``repro-cli trace`` reconstructs it from the journal file alone.
@@ -59,7 +59,7 @@ def load_spans(
     """
     return [
         Span.from_dict(data)
-        for data in journal.spans(campaign_id, module_id=module_id)
+        for _, _, data in journal.processes.spans(campaign_id, module_id=module_id)
     ]
 
 

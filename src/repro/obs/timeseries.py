@@ -14,7 +14,7 @@ coverage progress.  Samples land in two places:
 * a bounded in-memory :class:`TimeSeriesRing` (the working set for
   burn-rate evaluation and the live dashboard), and
 * the ``campaign_snapshots`` journal table, one committed transaction
-  per sample — the same write-ahead discipline as ``campaign_spans``,
+  per sample — the same write-ahead discipline as the span table,
   so a SIGKILLed campaign leaves a reconstructable timeline.
 
 Samples are *observations*: they never feed report reassembly, so

@@ -37,7 +37,7 @@ from repro.serve.ratelimit import (
     TokenBucket,
 )
 from repro.serve.sampling import HTTP_SLOS, ServeSampler, http_sample
-from repro.serve.state import ServeStateStore, has_serve_state
+from repro.serve.state import ServeStateStore
 from repro.serve.service import (
     AnnotationService,
     UnknownModuleError,
@@ -66,7 +66,6 @@ __all__ = [
     "UnknownModuleError",
     "UnregisteredModuleError",
     "bind_threading_server",
-    "has_serve_state",
     "http_sample",
     "normalize_endpoint",
     "register_modules",

@@ -29,7 +29,8 @@ written to the structured access log, and attached ambiently to every
 engine span opened on its behalf
 (:func:`repro.obs.propagation.propagation_scope`), together with this
 process's ``(process_role, process_id)``.  In a fleet, every completed
-span tree is also committed to the shared ``serve_spans`` table, so
+span tree is also committed to the shared process journal
+(:mod:`repro.processlog`) as this replica's, so
 ``repro-cli trace ID --fleet`` reconstructs the request across replicas
 from the journal alone.
 
@@ -75,6 +76,7 @@ from repro.obs.metrics import (
     bind_threading_server,
     render_prometheus,
 )
+from repro.processlog import FLEET_SCOPE, REPLICA
 from repro.serve.admission import AdmissionController, SaturatedError
 from repro.serve.httpmetrics import HttpMetrics, normalize_endpoint
 from repro.serve.ratelimit import ANONYMOUS_TENANT, TenantRateLimiter
@@ -217,18 +219,20 @@ class AnnotationServer:
             replica=self.config.replica,
         )
         # The fleet flight recorder: with durable state attached, every
-        # completed engine span tree is committed to the shared
-        # ``serve_spans`` table — the campaign flight recorder's
-        # discipline, keyed by replica — so fleet trace assembly reads
-        # journals alone.  Standalone servers (no state store) keep the
-        # in-memory ring only, exactly as before.
+        # completed engine span tree is committed to the shared process
+        # journal — the campaign flight recorder's table, keyed by
+        # replica — so fleet trace assembly reads journals alone.
+        # Standalone servers (no state store) keep the in-memory ring
+        # only, exactly as before.
         tracer = getattr(self.service.engine, "tracer", None)
         if self.state is not None and tracer is not None and tracer.sink is None:
             state = self.state
             replica = self.config.replica if self.config.replica is not None else 0
 
             def _record_replica_span(span, _state=state, _replica=replica):
-                _state.record_span(_replica, span.to_dict())
+                _state.processes.record_span(
+                    REPLICA, FLEET_SCOPE, _replica, span.to_dict()
+                )
 
             tracer.sink = _record_replica_span
         # Graceful-drain machinery: a draining server answers in-flight

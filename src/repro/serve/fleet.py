@@ -17,8 +17,8 @@ over serving replicas:
   :class:`~repro.serve.state.ServeStateStore`.  A replica that crashed
   or went heartbeat-mute is killed and respawned with exponential
   backoff, up to ``max_restarts`` times; every lifecycle event lands in
-  the store's ``serve_events`` timeline for the ``repro-cli serve
-  fleet`` post-mortem.  Unlike a campaign shard, a replica has no
+  the store's event timeline (:mod:`repro.processlog`) for the
+  ``repro-cli serve fleet`` post-mortem.  Unlike a campaign shard, a replica has no
   natural end: any exit nobody asked for — even a clean 0 — is a crash.
 * **Graceful drain.**  SIGTERM (or :meth:`ServeSupervisor.drain`)
   walks every replica through :meth:`AnnotationServer.drain`: stop
@@ -55,6 +55,7 @@ from typing import Callable
 
 from repro.serve.app import AnnotationServer, ServeConfig
 from repro.serve.service import AnnotationService
+from repro.processlog import FLEET_SCOPE, REPLICA
 from repro.serve.state import ServeStateStore
 from repro.supervision import Child, Heartbeat, ProcessSupervisor, current_beat
 
@@ -159,21 +160,24 @@ def serve_replica_main(spec: dict) -> int:
 
     started_wall = time.time()
 
-    def beat(phase: str) -> None:
-        store.record_replica(
-            replica,
-            pid=os.getpid(),
-            attempt=attempt,
-            phase=phase,
-            requests_total=server.metrics.snapshot()["requests_total"],
-            started_wall=started_wall,
-        )
+    def beat(phase: str, log=store.processes, final: bool = False) -> None:
         # The full stats snapshot rides every beat (last write wins,
         # like shard heartbeats): this is how per-replica telemetry
         # leaves the process, and what the supervisor's fleet /metrics
         # fold (MetricsAggregator) reads back — journals alone, no
-        # shared memory, no live scrape of each replica.
-        store.record_replica_stats(replica, server.stats())
+        # shared memory, no live scrape of each replica.  The final row
+        # keeps the last beat's snapshot.
+        log.record_status(
+            REPLICA,
+            FLEET_SCOPE,
+            replica,
+            pid=os.getpid(),
+            attempt=attempt,
+            phase=phase,
+            work=server.metrics.snapshot()["requests_total"],
+            started_wall=started_wall,
+            stats=None if final else server.stats(),
+        )
 
     heartbeat = Heartbeat(
         beat, spec["heartbeat_interval"], f"replica-{replica:02d}-heartbeat"
@@ -188,14 +192,7 @@ def serve_replica_main(spec: dict) -> int:
     # The server closed the store; reopen briefly for the final row.
     final = ServeStateStore(config.state_db)
     try:
-        final.record_replica(
-            replica,
-            pid=os.getpid(),
-            attempt=attempt,
-            phase="drained" if drained else "drain-timeout",
-            requests_total=server.metrics.snapshot()["requests_total"],
-            started_wall=started_wall,
-        )
+        beat("drained" if drained else "drain-timeout", final.processes, True)
         final.record_event(
             replica,
             "drained" if drained else "drain-timeout",

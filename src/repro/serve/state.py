@@ -29,42 +29,37 @@ Tables:
     ``BEGIN IMMEDIATE`` read-modify-write transaction, so concurrent
     replicas never double-spend a token and a restarted fleet resumes
     tenant accounting from exactly the journaled balance.
-``serve_replicas`` / ``serve_events``
-    Replica heartbeat rows and the fleet lifecycle timeline
-    (spawn / crash / restart / heartbeat-miss / drain), which is what
-    ``repro-cli serve fleet`` and the ``repro_serve_replica_*`` gauges
-    reconstruct post-mortem — from the file alone, exactly like
-    ``repro-cli campaign workers``.
-``serve_spans``
-    The fleet flight recorder: every engine span tree a replica
-    completes, committed one transaction at a time — the exact
-    ``campaign_spans`` discipline, with a ``replica`` column instead of
-    a campaign id.  This is what lets ``repro-cli trace ID --fleet``
-    stitch one request's trace across replicas after any of them was
-    SIGKILLed.
-``serve_replica_stats``
-    Each replica's latest full ``engine.stats()`` snapshot (last write
-    wins, like shard heartbeats), so the fleet-level ``/metrics`` fold
-    (:class:`repro.obs.aggregate.MetricsAggregator`) reconstructs from
-    the file alone.
+``process_status`` / ``process_events`` / ``process_spans``
+    The process journal (:mod:`repro.processlog`) under role
+    ``replica``, the tables a sharded campaign's workers write too:
+    each replica's heartbeat row with its latest full ``engine.stats()``
+    snapshot (what the fleet ``/metrics`` fold,
+    :class:`repro.obs.aggregate.MetricsAggregator`, reads), the fleet
+    lifecycle timeline (spawn / crash / restart / heartbeat-miss /
+    drain) behind ``repro-cli serve fleet`` and the
+    ``repro_serve_replica_*`` gauges, and every engine span tree a
+    replica completes, which lets ``repro-cli trace ID --fleet`` stitch
+    one request's trace across replicas after any of them was
+    SIGKILLed — all from the file alone.
 
 The store can live inside the campaign journal's own SQLite file (the
-table namespaces are disjoint), which is what the CLI does: one ``--db``
-carries campaigns, HTTP samples, alerts, and the serving fleet's state.
+two share the process tables, keyed by role and scope, and their other
+tables are disjoint), which is what the CLI does: one ``--db`` carries
+campaigns, HTTP samples, alerts, and the serving fleet's state.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import sqlite3
 import threading
 import time
 from typing import Callable
 
 from repro.campaign.journal import open_wal
+from repro.processlog import FLEET_SCOPE, REPLICA, ProcessLog
+from repro.processlog import SCHEMA as _PROCESS_SCHEMA
 
-_SCHEMA = """
+_SCHEMA = _PROCESS_SCHEMA + """
 CREATE TABLE IF NOT EXISTS serve_modules (
     module_id TEXT PRIMARY KEY,
     registered_wall REAL NOT NULL
@@ -83,68 +78,7 @@ CREATE TABLE IF NOT EXISTS serve_tenants (
     allowed INTEGER NOT NULL DEFAULT 0,
     limited INTEGER NOT NULL DEFAULT 0
 );
-CREATE TABLE IF NOT EXISTS serve_replicas (
-    replica INTEGER PRIMARY KEY,
-    pid INTEGER NOT NULL,
-    attempt INTEGER NOT NULL,
-    phase TEXT NOT NULL,
-    requests_total INTEGER NOT NULL,
-    started_wall REAL NOT NULL,
-    heartbeat_wall REAL NOT NULL
-);
-CREATE TABLE IF NOT EXISTS serve_events (
-    seq INTEGER PRIMARY KEY AUTOINCREMENT,
-    t_wall REAL NOT NULL,
-    replica INTEGER NOT NULL,
-    kind TEXT NOT NULL,
-    detail TEXT NOT NULL DEFAULT ''
-);
-CREATE TABLE IF NOT EXISTS serve_spans (
-    span_seq INTEGER PRIMARY KEY AUTOINCREMENT,
-    replica INTEGER NOT NULL,
-    module_id TEXT NOT NULL,
-    outcome TEXT NOT NULL,
-    start_ms REAL NOT NULL,
-    duration_ms REAL NOT NULL,
-    span_json TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS serve_spans_by_replica
-    ON serve_spans (replica, module_id);
-CREATE TABLE IF NOT EXISTS serve_replica_stats (
-    replica INTEGER PRIMARY KEY,
-    t_wall REAL NOT NULL,
-    stats_json TEXT NOT NULL
-);
 """
-
-
-def has_serve_state(path: str) -> bool:
-    """Whether ``path`` is a SQLite file already carrying fleet state.
-
-    Read-only (never creates tables) — this is what ``repro-cli top``
-    uses to decide whether a journal also has replica rows to render.
-    """
-    if not path or not os.path.exists(path):
-        return False
-    try:
-        connection = sqlite3.connect(path)
-    except sqlite3.Error:
-        return False
-    try:
-        row = connection.execute(
-            "SELECT 1 FROM sqlite_master WHERE type = 'table' "
-            "AND name = 'serve_replicas'"
-        ).fetchone()
-        if row is None:
-            return False
-        return (
-            connection.execute("SELECT 1 FROM serve_replicas LIMIT 1").fetchone()
-            is not None
-        )
-    except sqlite3.Error:
-        return False
-    finally:
-        connection.close()
 
 
 class ServeStateStore:
@@ -173,6 +107,9 @@ class ServeStateStore:
         self._connection = open_wal(
             self.path, _SCHEMA, busy_timeout, isolation_level=None
         )
+        #: Heartbeat rows, lifecycle events and spans of the replicas,
+        #: under role ``replica`` and scope ``FLEET_SCOPE``.
+        self.processes = ProcessLog(self._connection, self._lock, wall_clock)
 
     def close(self) -> None:
         with self._lock:
@@ -327,65 +264,13 @@ class ServeStateStore:
         }
 
     # ------------------------------------------------------------------
-    # Replica heartbeats + fleet lifecycle timeline
+    # Replica heartbeats, fleet lifecycle timeline, spans, stats
     # ------------------------------------------------------------------
-    def record_replica(
-        self,
-        replica: int,
-        pid: int,
-        attempt: int,
-        phase: str,
-        requests_total: int,
-        started_wall: float,
-        heartbeat_wall: "float | None" = None,
-    ) -> None:
-        with self._lock:
-            self._connection.execute(
-                "INSERT OR REPLACE INTO serve_replicas "
-                "(replica, pid, attempt, phase, requests_total, started_wall, "
-                "heartbeat_wall) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (
-                    replica,
-                    pid,
-                    attempt,
-                    phase,
-                    requests_total,
-                    started_wall,
-                    heartbeat_wall if heartbeat_wall is not None else self._wall(),
-                ),
-            )
-
     def replica_status(self, replica: int) -> "dict | None":
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT replica, pid, attempt, phase, requests_total, "
-                "started_wall, heartbeat_wall FROM serve_replicas "
-                "WHERE replica = ?",
-                (replica,),
-            ).fetchone()
-        return self._replica_dict(row) if row is not None else None
+        return next(iter(self.processes.status(REPLICA, FLEET_SCOPE, replica)), None)
 
     def replicas(self) -> "list[dict]":
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT replica, pid, attempt, phase, requests_total, "
-                "started_wall, heartbeat_wall FROM serve_replicas "
-                "ORDER BY replica"
-            ).fetchall()
-        return [self._replica_dict(row) for row in rows]
-
-    @staticmethod
-    def _replica_dict(row) -> dict:
-        replica, pid, attempt, phase, requests, started, heartbeat = row
-        return {
-            "replica": replica,
-            "pid": pid,
-            "attempt": attempt,
-            "phase": phase,
-            "requests_total": requests,
-            "started_wall": started,
-            "heartbeat_wall": heartbeat,
-        }
+        return self.processes.status(REPLICA, FLEET_SCOPE)
 
     def record_event(
         self,
@@ -394,56 +279,12 @@ class ServeStateStore:
         detail: str = "",
         t_wall: "float | None" = None,
     ) -> None:
-        with self._lock:
-            self._connection.execute(
-                "INSERT INTO serve_events (t_wall, replica, kind, detail) "
-                "VALUES (?, ?, ?, ?)",
-                (t_wall if t_wall is not None else self._wall(), replica, kind,
-                 detail),
-            )
+        self.processes.record_event(
+            REPLICA, FLEET_SCOPE, replica, kind, detail, t_wall=t_wall
+        )
 
     def events(self) -> "list[dict]":
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT seq, t_wall, replica, kind, detail FROM serve_events "
-                "ORDER BY seq"
-            ).fetchall()
-        return [
-            {
-                "seq": seq,
-                "t_wall": t_wall,
-                "replica": replica,
-                "kind": kind,
-                "detail": detail,
-            }
-            for seq, t_wall, replica, kind, detail in rows
-        ]
-
-    # ------------------------------------------------------------------
-    # Replica spans (the fleet flight recorder) + stats snapshots
-    # ------------------------------------------------------------------
-    def record_span(self, replica: int, span: dict) -> None:
-        """Commit one completed replica span tree.
-
-        The ``campaign_spans`` discipline verbatim: each span is its own
-        committed transaction, so a SIGKILLed replica keeps every trace
-        that finished before the kill, and fleet trace assembly needs
-        nothing but this file.
-        """
-        with self._lock:
-            self._connection.execute(
-                "INSERT INTO serve_spans "
-                "(replica, module_id, outcome, start_ms, duration_ms, "
-                "span_json) VALUES (?, ?, ?, ?, ?, ?)",
-                (
-                    replica,
-                    span.get("module_id", ""),
-                    span.get("outcome", "ok"),
-                    span.get("start_ms", 0.0),
-                    span.get("duration_ms", 0.0),
-                    json.dumps(span, sort_keys=True),
-                ),
-            )
+        return self.processes.events(REPLICA, FLEET_SCOPE)
 
     def spans(
         self,
@@ -453,87 +294,30 @@ class ServeStateStore:
         """Journaled replica span trees, recording order, each dict
         annotated with its ``replica`` under ``_replica`` (the span
         payload itself is untouched — attributes carry the trace id)."""
-        query = (
-            "SELECT replica, span_json FROM serve_spans WHERE 1 = 1"
-        )
-        params: tuple = ()
-        if replica is not None:
-            query += " AND replica = ?"
-            params += (replica,)
-        if module_id is not None:
-            query += " AND module_id = ?"
-            params += (module_id,)
-        query += " ORDER BY span_seq"
-        with self._lock:
-            rows = self._connection.execute(query, params).fetchall()
-        spans = []
-        for row_replica, payload in rows:
-            span = json.loads(payload)
-            span["_replica"] = row_replica
-            spans.append(span)
-        return spans
-
-    def span_count(self) -> int:
-        with self._lock:
-            (count,) = self._connection.execute(
-                "SELECT COUNT(*) FROM serve_spans"
-            ).fetchone()
-        return count
-
-    def record_replica_stats(self, replica: int, stats: dict) -> None:
-        """Upsert one replica's full engine-stats snapshot (last write
-        wins, exactly like shard heartbeat stats)."""
-        with self._lock:
-            self._connection.execute(
-                "INSERT OR REPLACE INTO serve_replica_stats "
-                "(replica, t_wall, stats_json) VALUES (?, ?, ?)",
-                (replica, self._wall(), json.dumps(stats, sort_keys=True)),
-            )
+        return [
+            {**span, "_replica": slot}
+            for _, slot, span in self.processes.spans(FLEET_SCOPE, replica, module_id)
+        ]
 
     def replica_stats(self) -> "dict[int, dict]":
         """``{replica: stats snapshot}`` for the fleet metrics fold."""
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT replica, stats_json FROM serve_replica_stats "
-                "ORDER BY replica"
-            ).fetchall()
-        return {replica: json.loads(payload) for replica, payload in rows}
+        return self.processes.stats(REPLICA, FLEET_SCOPE)
 
-    # ------------------------------------------------------------------
     def replica_rows(
         self,
         now: "float | None" = None,
         heartbeat_timeout: float = 10.0,
     ) -> "list[dict]":
         """Post-mortem fleet rows in the shape ``render_prometheus``'s
-        ``replicas`` section and the dashboard panel consume.
-
-        ``alive`` means: the replica's phase is ``running`` and its last
-        heartbeat is fresher than ``heartbeat_timeout`` — derived from
-        the file alone, so it works while the fleet runs and after it is
-        gone (a dead fleet's heartbeats age out of liveness naturally).
-        Restart counts are reconstructed from the event timeline.
-        """
-        now = now if now is not None else self._wall()
-        restarts: "dict[int, int]" = {}
-        for event in self.events():
-            if event["kind"] == "restart":
-                restarts[event["replica"]] = restarts.get(event["replica"], 0) + 1
-        rows = []
-        for status in self.replicas():
-            heartbeat_age = max(0.0, now - status["heartbeat_wall"])
-            rows.append(
-                {
-                    **status,
-                    "heartbeat_age": heartbeat_age,
-                    "restarts": restarts.get(status["replica"], 0),
-                    "alive": (
-                        status["phase"] == "running"
-                        and heartbeat_age <= heartbeat_timeout
-                    ),
-                }
-            )
-        return rows
+        ``replicas`` section and the dashboard panel consume: each
+        replica's status row folded with the event timeline
+        (:func:`repro.processlog.fold`)."""
+        return self.processes.rows(
+            REPLICA,
+            FLEET_SCOPE,
+            now if now is not None else self._wall(),
+            heartbeat_timeout,
+        )
 
 
-__all__ = ["ServeStateStore", "has_serve_state"]
+__all__ = ["ServeStateStore"]

@@ -18,9 +18,10 @@ from repro.campaign import (
     shard_campaign_id,
     shard_journal_path,
     shard_plan,
-    shard_statuses,
     worker_rows,
 )
+from repro.campaign.sharding import shard_status
+from repro.processlog import SHARD_WORKER
 
 LIMIT = 4
 
@@ -250,11 +251,12 @@ class TestWorkerJournal:
         journal = CampaignJournal(tmp_path / "events.sqlite")
         try:
             journal.create("c", 1, ["m"], {})
-            journal.record_worker_event("c", worker=0, shard=0, kind="spawn")
-            journal.record_worker_event(
-                "c", worker=0, shard=0, kind="crash", detail="exit code 137"
+            log = journal.processes
+            log.record_event(SHARD_WORKER, "c", 0, "spawn", worker=0)
+            log.record_event(
+                SHARD_WORKER, "c", 0, "crash", "exit code 137", worker=0
             )
-            journal.record_worker_event("c", worker=1, shard=0, kind="restart")
+            log.record_event(SHARD_WORKER, "c", 0, "restart", worker=1)
             events = journal.worker_events("c")
         finally:
             journal.close()
@@ -263,19 +265,23 @@ class TestWorkerJournal:
         assert events[2]["worker"] == 1
 
     def test_shard_status_upserts(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "status.sqlite")
+        db = tmp_path / "status.sqlite"
+        journal = CampaignJournal(shard_journal_path(db, 0))
         try:
-            journal.create("c", 1, ["m"], {})
-            journal.record_shard_status(
-                "c", 0, worker=0, pid=100, attempt=1, invocations=3,
-                phase="running", stats={"counters": {"calls": 3}},
+            cid = shard_campaign_id("c", 0)
+            journal.create(cid, 1, ["m"], {})
+            journal.processes.record_status(
+                SHARD_WORKER, cid, 0, worker=0, pid=100, attempt=1, work=3,
+                phase="running", started_wall=0.0,
+                stats={"counters": {"calls": 3}},
             )
-            journal.record_shard_status(
-                "c", 0, worker=2, pid=200, attempt=2, invocations=7,
-                phase="done", stats={"counters": {"calls": 7}},
+            journal.processes.record_status(
+                SHARD_WORKER, cid, 0, worker=2, pid=200, attempt=2, work=7,
+                phase="done", started_wall=0.0,
+                stats={"counters": {"calls": 7}},
             )
-            status = journal.shard_status("c", 0)
-            assert journal.shard_status("c", 9) is None
+            status = shard_status(db, "c", 0)
+            assert shard_status(db, "c", 9) is None
         finally:
             journal.close()
         assert status["worker"] == 2
@@ -300,7 +306,9 @@ class TestWorkerRows:
         assert [row["phase"] for row in rows] == ["pending", "pending"]
         assert [row["n_planned"] for row in rows] == [2, 1]
         assert all(not row["alive"] for row in rows)
-        assert shard_statuses(db, "c", 2) == [None, None]
+        assert [shard_status(db, "c", shard) for shard in range(2)] == [
+            None, None,
+        ]
 
     def test_rows_fold_heartbeats_and_events(self, tmp_path):
         db = tmp_path / "fleet.sqlite"
@@ -309,21 +317,20 @@ class TestWorkerRows:
             journal.create(
                 "c", 1, ["m1", "m2"], {"workers": 2, "heartbeat_timeout": 5.0}
             )
-            journal.record_worker_event("c", worker=0, shard=0, kind="spawn")
-            journal.record_worker_event("c", worker=2, shard=0, kind="restart")
-            journal.record_worker_event(
-                "c", worker=2, shard=0, kind="shard-degraded"
-            )
+            log = journal.processes
+            log.record_event(SHARD_WORKER, "c", 0, "spawn", worker=0)
+            log.record_event(SHARD_WORKER, "c", 0, "restart", worker=2)
+            log.record_event(SHARD_WORKER, "c", 0, "shard-degraded", worker=2)
         finally:
             journal.close()
         shard0 = CampaignJournal(shard_journal_path(db, 0))
         try:
             cid = shard_campaign_id("c", 0)
             shard0.create(cid, 1, ["m1"], {})
-            shard0.record_shard_status(
-                cid, 0, worker=2, pid=42, attempt=2, invocations=5,
-                phase="running", stats={"counters": {"calls": 5}},
-                heartbeat_wall=99.0,
+            shard0.processes.record_status(
+                SHARD_WORKER, cid, 0, worker=2, pid=42, attempt=2, work=5,
+                phase="running", started_wall=90.0,
+                stats={"counters": {"calls": 5}}, heartbeat_wall=99.0,
             )
         finally:
             shard0.close()

@@ -219,7 +219,10 @@ class TestCampaignCli:
         assert "already exists" in capsys.readouterr().err
 
     def test_unknown_campaign_exits_nonzero(self, capsys, tmp_path):
+        from repro.campaign import CampaignJournal
+
         db = self._db(tmp_path)
+        CampaignJournal(db).close()
         assert main(["campaign", "status", "ghost", "--db", db]) == 2
         assert "no campaign 'ghost'" in capsys.readouterr().err
         assert main(["campaign", "resume", "ghost", "--db", db]) == 2
@@ -228,11 +231,31 @@ class TestCampaignCli:
     def test_status_without_campaigns(self, capsys, tmp_path):
         import json
 
+        from repro.campaign import CampaignJournal
+
         db = self._db(tmp_path)
+        CampaignJournal(db).close()
         assert main(["campaign", "status", "--db", db]) == 0
         assert "no campaigns" in capsys.readouterr().out
         assert main(["campaign", "status", "--db", db, "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == []
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["campaign", "status"],
+            ["campaign", "workers", "X"],
+            ["alerts", "X"],
+            ["top", "X", "--once"],
+            ["profile", "--campaign", "X"],
+        ],
+        ids=["campaign-status", "campaign-workers", "alerts", "top", "profile"],
+    )
+    def test_read_only_commands_create_no_journal(self, capsys, tmp_path, command):
+        db = self._db(tmp_path)
+        assert main([*command, "--db", db]) == 2
+        assert capsys.readouterr().err.strip() == f"error: no journal {db}"
+        assert list(tmp_path.iterdir()) == []
 
     def test_degraded_campaign_renders_manifest(self, capsys, tmp_path):
         db = self._db(tmp_path)

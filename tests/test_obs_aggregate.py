@@ -13,9 +13,7 @@ import pytest
 from repro.engine.telemetry import merge_stats_snapshots
 from repro.obs.aggregate import (
     MetricsAggregator,
-    collect_campaign_spans,
     collect_fleet_spans,
-    collect_serve_spans,
     merge_http_snapshots,
     render_fleet_trace,
     span_trace_id,
@@ -23,6 +21,7 @@ from repro.obs.aggregate import (
     trace_ids,
 )
 from repro.obs.tracing import Span
+from repro.processlog import FLEET_SCOPE, REPLICA, has_status
 from repro.serve.state import ServeStateStore
 
 TRACE = "ab" * 16
@@ -47,28 +46,40 @@ def _span_dict(name="invoke", module_id="m1", start_ms=1.0, trace=TRACE,
     }
 
 
+def _record_span(store, replica, span):
+    store.processes.record_span(REPLICA, FLEET_SCOPE, replica, span)
+
+
+def _record_stats(store, replica, stats):
+    """A replica heartbeat carrying its stats snapshot."""
+    store.processes.record_status(
+        REPLICA, FLEET_SCOPE, replica, pid=1, attempt=1, phase="running",
+        work=0, started_wall=0.0, stats=stats,
+    )
+
+
 # ----------------------------------------------------------------------
-# The serve-state span + stats tables
+# The serve-state span + stats rows
 # ----------------------------------------------------------------------
 class TestServeSpanStore:
     def test_spans_roundtrip_with_replica_annotation(self, tmp_path):
         store = ServeStateStore(tmp_path / "s.db")
         try:
-            store.record_span(0, _span_dict(module_id="a"))
-            store.record_span(1, _span_dict(module_id="b"))
+            _record_span(store, 0, _span_dict(module_id="a"))
+            _record_span(store, 1, _span_dict(module_id="b"))
             rows = store.spans()
             assert [row["_replica"] for row in rows] == [0, 1]
             assert [row["module_id"] for row in rows] == ["a", "b"]
-            assert store.span_count() == 2
+            assert len(store.processes.spans(FLEET_SCOPE)) == 2
         finally:
             store.close()
 
     def test_spans_filter_by_replica_and_module(self, tmp_path):
         store = ServeStateStore(tmp_path / "s.db")
         try:
-            store.record_span(0, _span_dict(module_id="a"))
-            store.record_span(1, _span_dict(module_id="a"))
-            store.record_span(1, _span_dict(module_id="b"))
+            _record_span(store, 0, _span_dict(module_id="a"))
+            _record_span(store, 1, _span_dict(module_id="a"))
+            _record_span(store, 1, _span_dict(module_id="b"))
             assert len(store.spans(replica=1)) == 2
             assert len(store.spans(module_id="a")) == 2
             assert len(store.spans(replica=1, module_id="b")) == 1
@@ -78,9 +89,9 @@ class TestServeSpanStore:
     def test_replica_stats_upsert(self, tmp_path):
         store = ServeStateStore(tmp_path / "s.db")
         try:
-            store.record_replica_stats(0, {"counters": {"calls": 1}})
-            store.record_replica_stats(0, {"counters": {"calls": 5}})
-            store.record_replica_stats(1, {"counters": {"calls": 2}})
+            _record_stats(store, 0, {"counters": {"calls": 1}})
+            _record_stats(store, 0, {"counters": {"calls": 5}})
+            _record_stats(store, 1, {"counters": {"calls": 2}})
             stats = store.replica_stats()
             assert stats[0]["counters"]["calls"] == 5
             assert stats[1]["counters"]["calls"] == 2
@@ -90,12 +101,12 @@ class TestServeSpanStore:
     def test_survives_reopen(self, tmp_path):
         path = tmp_path / "s.db"
         store = ServeStateStore(path)
-        store.record_span(0, _span_dict())
-        store.record_replica_stats(0, {"counters": {"calls": 3}})
+        _record_span(store, 0, _span_dict())
+        _record_stats(store, 0, {"counters": {"calls": 3}})
         store.close()
         reopened = ServeStateStore(path)
         try:
-            assert reopened.span_count() == 1
+            assert len(reopened.processes.spans(FLEET_SCOPE)) == 1
             assert reopened.replica_stats()[0]["counters"]["calls"] == 3
         finally:
             reopened.close()
@@ -107,36 +118,37 @@ class TestServeSpanStore:
 class TestCollection:
     def test_serve_spans_are_stamped_with_replica_identity(self, tmp_path):
         store = ServeStateStore(tmp_path / "s.db")
-        store.record_span(2, _span_dict())
+        _record_span(store, 2, _span_dict())
         store.close()
-        spans = collect_serve_spans(str(tmp_path / "s.db"))
+        spans = collect_fleet_spans(state_db=str(tmp_path / "s.db"))
         assert len(spans) == 1
         assert spans[0].attributes["process_role"] == "replica"
         assert spans[0].attributes["process_id"] == 2
 
     def test_missing_file_collects_nothing(self, tmp_path):
-        assert collect_serve_spans(str(tmp_path / "nope.db")) == []
-        assert collect_campaign_spans(str(tmp_path / "nope.db"), "c") == []
+        assert collect_fleet_spans(state_db=str(tmp_path / "nope.db")) == []
+        assert collect_fleet_spans(
+            journal_db=str(tmp_path / "nope.db"), campaign_id="c"
+        ) == []
         assert collect_fleet_spans() == []
 
     def test_campaign_journal_without_serve_state_is_not_mutated(self, tmp_path):
         from repro.campaign.journal import CampaignJournal
-        from repro.serve.state import has_serve_state
 
         path = tmp_path / "c.db"
         journal = CampaignJournal(path)
         journal.create("c", 1, ["m"], {})
         journal.close()
-        assert collect_serve_spans(str(path)) == []
-        # The collector must not have grafted serve tables onto it.
-        assert not has_serve_state(str(path))
+        assert collect_fleet_spans(state_db=str(path)) == []
+        # The collector must not have grafted serve rows onto it.
+        assert not has_status(str(path), REPLICA, FLEET_SCOPE)
 
     def test_unknown_campaign_collects_nothing(self, tmp_path):
         from repro.campaign.journal import CampaignJournal
 
         path = tmp_path / "c.db"
         CampaignJournal(path).close()
-        assert collect_campaign_spans(str(path), "ghost") == []
+        assert collect_fleet_spans(journal_db=str(path), campaign_id="ghost") == []
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +278,7 @@ class TestMetricsAggregator:
              "max_events": 100, "dropped_events": 1},
         ]
         for replica, stats in enumerate(per_replica):
-            store.record_replica_stats(replica, stats)
+            _record_stats(store, replica, stats)
         store.close()
         aggregator = MetricsAggregator(state_db=str(path))
         snapshot = aggregator.snapshot()
@@ -280,7 +292,7 @@ class TestMetricsAggregator:
     def test_http_section_folds_only_when_reported(self, tmp_path):
         path = tmp_path / "s.db"
         store = ServeStateStore(path)
-        store.record_replica_stats(0, {"counters": {}, "http": _http_snapshot(6)})
+        _record_stats(store, 0, {"counters": {}, "http": _http_snapshot(6)})
         store.close()
         snapshot = MetricsAggregator(state_db=str(path)).snapshot()
         assert snapshot["http"]["requests_total"] == 6
@@ -296,7 +308,7 @@ class TestMetricsAggregator:
     def test_prometheus_rendering_works(self, tmp_path):
         path = tmp_path / "s.db"
         store = ServeStateStore(path)
-        store.record_replica_stats(
+        _record_stats(store, 
             0,
             {"counters": {"calls": 2}, "n_events": 2, "max_events": 10,
              "dropped_events": 0},

@@ -65,7 +65,7 @@ class TestFlightRecorder:
         recorder(second)
 
         assert recorder.recorded == 2
-        assert journal.span_count("c1") == 2
+        assert len(journal.processes.spans("c1")) == 2
         assert load_spans(journal, "c1") == [first, second]
 
     def test_module_filter(self, journal):
@@ -130,7 +130,7 @@ class TestTracedCampaign:
         assert journal.meta("c1").status == "complete"
 
         spans = load_spans(journal, "c1")
-        assert journal.span_count("c1") == len(spans) > 0
+        assert len(journal.processes.spans("c1")) == len(spans) > 0
         assert set(span.module_id for span in spans) == set(result.reports)
         for span in spans:
             _assert_well_formed(span.to_dict())
@@ -138,7 +138,7 @@ class TestTracedCampaign:
             assert span.attributes.get("provider")
         # The journal is the single source: reconstruction equals the
         # serialized form exactly.
-        assert [span.to_dict() for span in spans] == list(journal.spans("c1"))
+        assert [span.to_dict() for span in spans] == [span for _, _, span in journal.processes.spans("c1")]
 
     def test_tracing_does_not_perturb_the_report(self, ctx, catalog, pool, tmp_path):
         reports = []
@@ -157,7 +157,7 @@ class TestTracedCampaign:
 
     def test_untraced_run_journals_nothing(self, ctx, catalog, pool, journal):
         make_runner(ctx, catalog, pool, journal).run("c1")
-        assert journal.span_count("c1") == 0
+        assert len(journal.processes.spans("c1")) == 0
         assert "no spans journaled" in render_trace(load_spans(journal, "c1"), "c1")
 
 
@@ -229,7 +229,7 @@ def test_sigkill_leaves_a_reconstructable_timeline(tmp_path):
             if db.exists():
                 try:
                     spans = sqlite3.connect(db).execute(
-                        "SELECT COUNT(*) FROM campaign_spans"
+                        "SELECT COUNT(*) FROM process_spans"
                     ).fetchone()[0]
                 except sqlite3.OperationalError:
                     spans = 0  # schema not committed yet
@@ -243,7 +243,7 @@ def test_sigkill_leaves_a_reconstructable_timeline(tmp_path):
         victim.wait()
 
     committed = sqlite3.connect(db).execute(
-        "SELECT COUNT(*) FROM campaign_spans"
+        "SELECT COUNT(*) FROM process_spans"
     ).fetchone()[0]
     assert committed >= 3
 
@@ -270,6 +270,6 @@ def test_sigkill_leaves_a_reconstructable_timeline(tmp_path):
     assert resumed.returncode == 0, resumed.stderr
     assert "status: complete" in resumed.stdout
     after = sqlite3.connect(db).execute(
-        "SELECT COUNT(*) FROM campaign_spans"
+        "SELECT COUNT(*) FROM process_spans"
     ).fetchone()[0]
     assert after > committed

@@ -9,7 +9,8 @@ import threading
 
 import pytest
 
-from repro.serve import ServeStateStore, has_serve_state
+from repro.processlog import FLEET_SCOPE, REPLICA, has_status
+from repro.serve import ServeStateStore
 
 
 class WallClock:
@@ -163,39 +164,6 @@ class TestTenantBuckets:
 
 
 class TestReplicaRows:
-    def test_rows_liveness_and_restart_counts(self, store, clock):
-        store.record_replica(
-            0, pid=100, attempt=1, phase="running",
-            requests_total=7, started_wall=clock(),
-        )
-        store.record_replica(
-            1, pid=101, attempt=2, phase="running",
-            requests_total=3, started_wall=clock(),
-        )
-        store.record_event(1, "crash", "exit code 137")
-        store.record_event(1, "restart", "pid 101 attempt 2")
-        clock.advance(5.0)
-        rows = store.replica_rows(now=clock(), heartbeat_timeout=10.0)
-        assert [row["replica"] for row in rows] == [0, 1]
-        assert all(row["alive"] for row in rows)
-        assert rows[0]["restarts"] == 0
-        assert rows[1]["restarts"] == 1
-        assert rows[0]["heartbeat_age"] == pytest.approx(5.0)
-        # Past the timeout the same rows age out of liveness — that is
-        # how a dead fleet's post-mortem reads 0 alive with no process
-        # checks at all.
-        clock.advance(10.0)
-        rows = store.replica_rows(now=clock(), heartbeat_timeout=10.0)
-        assert not any(row["alive"] for row in rows)
-
-    def test_non_running_phase_is_never_alive(self, store, clock):
-        store.record_replica(
-            0, pid=100, attempt=1, phase="drained",
-            requests_total=0, started_wall=clock(),
-        )
-        (row,) = store.replica_rows(now=clock(), heartbeat_timeout=10.0)
-        assert row["alive"] is False
-
     def test_events_keep_recording_order(self, store):
         store.record_event(-1, "fleet-start", "2 replicas")
         store.record_event(0, "spawn", "pid 1")
@@ -206,6 +174,10 @@ class TestReplicaRows:
         ]
         assert events[0]["replica"] == -1
         assert events[2]["detail"] == ""
+
+
+def has_serve_state(path):
+    return has_status(path, REPLICA, FLEET_SCOPE)
 
 
 class TestHasServeState:
@@ -221,9 +193,9 @@ class TestHasServeState:
 
     def test_true_once_a_replica_row_exists(self, db):
         store = ServeStateStore(db)
-        store.record_replica(
-            0, pid=1, attempt=1, phase="running",
-            requests_total=0, started_wall=0.0,
+        store.processes.record_status(
+            REPLICA, FLEET_SCOPE, 0, pid=1, attempt=1, phase="running",
+            work=0, started_wall=0.0,
         )
         store.close()
         assert has_serve_state(db)
