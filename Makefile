@@ -72,16 +72,18 @@ bench-obs:
 	$(PYTHON) benchmarks/bench_obs.py
 
 # Matching acceptance smoke (the CI match-smoke job): the match/ unit
-# and property tests and the canonical value encoder's property tests
-# (tokens are hashed from its bytes).  The CI job then runs a downsized
-# benchmark writing to a temp file (the committed BENCH_match.json
-# stays untouched).
+# and property tests, the canonical value encoder's property tests
+# (tokens are hashed from its bytes) and the engine accounting's
+# equivalence tests (every verify invocation is accounted through it).
+# The CI job then runs a downsized benchmark writing to a temp file
+# (the committed BENCH_match.json stays untouched).
 match-smoke:
 	$(PYTHON) -m pytest -x -q tests/test_match_signature.py \
 		tests/test_match_index.py tests/test_match_synth.py \
 		tests/test_match_builder.py tests/test_match_repair.py \
 		tests/test_match_cli.py tests/test_match_exactness.py \
-		tests/test_match_sketch.py tests/test_values_canonical.py
+		tests/test_match_sketch.py tests/test_values_canonical.py \
+		tests/test_engine_telemetry.py
 
 # Benchmark smoke (the CI match-smoke job): every perfbench workload for
 # one second untraced, then synth-match once traced, so a wrong output

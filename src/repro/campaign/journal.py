@@ -17,6 +17,7 @@ registry without clashing.
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
 import threading
 from dataclasses import dataclass, field
@@ -111,6 +112,40 @@ def open_wal(
         connection.execute("PRAGMA synchronous = NORMAL")
         connection.executescript(schema)
     return connection
+
+
+#: Per-status entry counts of one campaign.
+_PROGRESS_QUERY = (
+    "SELECT status, COUNT(*) FROM campaign_entries "
+    "WHERE campaign_id = ? GROUP BY status"
+)
+
+
+def _progress(rows: "list[tuple[str, int]]") -> "dict[str, int]":
+    counts = dict(rows)
+    return {
+        "n_done": counts.get("done", 0),
+        "n_skipped": counts.get("skipped", 0),
+    }
+
+
+def read_progress_counts(
+    path: "str | os.PathLike", campaign_id: str
+) -> "dict[str, int]":
+    """:meth:`CampaignJournal.progress_counts` of the journal at
+    ``path``, read without writing: zero counts when the file is
+    missing, is not SQLite, or lacks the journal schema (a worker killed
+    before its schema committed).  Never creates a file or a table."""
+    rows: "list[tuple[str, int]]" = []
+    if os.path.exists(str(path)):
+        connection = sqlite3.connect(str(path))
+        try:
+            rows = connection.execute(_PROGRESS_QUERY, (campaign_id,)).fetchall()
+        except sqlite3.DatabaseError:
+            pass  # no journal schema yet, or not a SQLite file
+        finally:
+            connection.close()
+    return _progress(rows)
 
 
 def shard_campaign_id(campaign_id: str, shard: int) -> str:
@@ -647,15 +682,9 @@ class CampaignJournal:
         """
         with self._lock:
             rows = self._connection.execute(
-                "SELECT status, COUNT(*) FROM campaign_entries "
-                "WHERE campaign_id = ? GROUP BY status",
-                (campaign_id,),
+                _PROGRESS_QUERY, (campaign_id,)
             ).fetchall()
-        counts = {status: count for status, count in rows}
-        return {
-            "n_done": counts.get("done", 0),
-            "n_skipped": counts.get("skipped", 0),
-        }
+        return _progress(rows)
 
     def _status_rows(self, campaign_id: str) -> "list[tuple[str, str, str]]":
         return self._connection.execute(

@@ -39,6 +39,7 @@ from repro.campaign.journal import (
     DEGRADED,
     CampaignJournal,
     CampaignMeta,
+    read_progress_counts,
     shard_campaign_id,
 )
 from repro.campaign.runner import CampaignResult
@@ -224,16 +225,10 @@ def worker_rows(
             "worker": shard, "pid": 0, "attempt": 0, "invocations": 0,
             "phase": "pending", "heartbeat_wall": None, "stats": {},
         }
-        counts = {"n_done": 0, "n_skipped": 0}
-        path = shard_journal_path(db_path, shard)
-        if os.path.exists(str(path)):
-            shard_journal = CampaignJournal(path)
-            try:
-                counts = shard_journal.progress_counts(
-                    shard_campaign_id(campaign_id, shard)
-                )
-            finally:
-                shard_journal.close()
+        counts = read_progress_counts(
+            shard_journal_path(db_path, shard),
+            shard_campaign_id(campaign_id, shard),
+        )
         rows.append(
             {
                 **status,

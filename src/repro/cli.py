@@ -871,6 +871,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     if args.fleet:
         return _fleet_trace(args)
+    if _no_journal(args.db):
+        return 2
     journal = CampaignJournal(args.db)
     try:
         try:

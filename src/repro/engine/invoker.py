@@ -141,51 +141,58 @@ class _TelemetryHooks:
         self.tracer = tracer
 
     def fault(self, module: Module, detail: str) -> None:
-        self.telemetry.incr("faults_injected")
-        self.telemetry.event("fault_injected", module.module_id, detail)
+        self.telemetry.account(
+            "faults_injected", "fault_injected", module.module_id, detail
+        )
 
     def timeout(self, module: Module, budget: float) -> None:
-        self.telemetry.incr("watchdog_timeouts")
-        self.telemetry.event(
-            "watchdog_timeout", module.module_id, f"budget {budget:.3f}s"
+        self.telemetry.account(
+            "watchdog_timeouts", "watchdog_timeout", module.module_id,
+            f"budget {budget:.3f}s",
         )
 
     def violation(self, module: Module, error: MalformedOutputError) -> None:
-        self.telemetry.incr("conformance_violations")
-        self.telemetry.event(
-            "conformance_violation", module.module_id, type(error).__name__
+        self.telemetry.account(
+            "conformance_violations", "conformance_violation",
+            module.module_id, type(error).__name__,
         )
 
     def retry(
         self, module: Module, attempt: int, error: ModuleUnavailableError
     ) -> None:
-        self.telemetry.incr("retries")
-        self.telemetry.event(
-            "retry", module.module_id, f"attempt {attempt}: {type(error).__name__}"
+        self.telemetry.account(
+            "retries", "retry", module.module_id,
+            f"attempt {attempt}: {type(error).__name__}",
         )
         if self.tracer is not None:
             self.tracer.incr_root("retries")
 
     def exhausted(self, module: Module, error: ModuleUnavailableError) -> None:
-        self.telemetry.incr("retries_exhausted")
-        self.telemetry.event(
-            "retry_exhausted", module.module_id, type(error).__name__
+        self.telemetry.account(
+            "retries_exhausted", "retry_exhausted", module.module_id,
+            type(error).__name__,
         )
 
     def transition(
         self, provider: str, old: BreakerState, new: BreakerState
     ) -> None:
+        detail = f"{old.value} -> {new.value}"
         if new is BreakerState.OPEN:
-            self.telemetry.incr("breaker_opened")
+            self.telemetry.account(
+                "breaker_opened", "breaker_transition", provider, detail
+            )
         elif new is BreakerState.CLOSED:
-            self.telemetry.incr("breaker_closed")
-        self.telemetry.event(
-            "breaker_transition", provider, f"{old.value} -> {new.value}"
-        )
+            self.telemetry.account(
+                "breaker_closed", "breaker_transition", provider, detail
+            )
+        else:
+            self.telemetry.event("breaker_transition", provider, detail)
 
     def fast_fail(self, module: Module) -> None:
-        self.telemetry.incr("breaker_fast_fails")
-        self.telemetry.event("breaker_fast_fail", module.module_id, module.provider)
+        self.telemetry.account(
+            "breaker_fast_fails", "breaker_fast_fail", module.module_id,
+            module.provider,
+        )
 
 
 class InvocationEngine:
@@ -345,12 +352,10 @@ class InvocationEngine:
             outcome = self.cache.lookup(key)
             if outcome is not None:
                 if outcome.is_failure:
-                    self.telemetry.incr("cache_negative_hits")
-                    disposition = "negative-hit"
+                    counter, disposition = "cache_negative_hits", "negative-hit"
                 else:
-                    self.telemetry.incr("cache_hits")
-                    disposition = "hit"
-                self.telemetry.event("cache_hit", module.module_id)
+                    counter, disposition = "cache_hits", "hit"
+                self.telemetry.account(counter, "cache_hit", module.module_id)
                 if trace_attrs is not None:
                     trace_attrs["cache"] = disposition
                 return outcome.replay()
@@ -393,9 +398,9 @@ class InvocationEngine:
 
     def _account(self, outcome: str, module: Module, start: float, detail: str) -> None:
         latency_ms = (self._clock() - start) * 1000.0
-        self.telemetry.incr(outcome)
-        self.telemetry.record_latency(latency_ms)
-        self.telemetry.event("call", module.module_id, detail or outcome, latency_ms)
+        self.telemetry.account(
+            outcome, "call", module.module_id, detail or outcome, latency_ms
+        )
         self.health.observe(module.module_id, module.provider, outcome, latency_ms)
 
     # ------------------------------------------------------------------

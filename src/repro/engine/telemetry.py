@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: The engine-wide monotonic clock, in fractional seconds.  Everything
 #: that timestamps or measures an invocation (the engine itself, the
@@ -62,12 +63,14 @@ class LatencyHistogram:
         self.max_ms = 0.0
 
     def record(self, latency_ms: float) -> None:
-        for index, bound in enumerate(self.BOUNDS_MS):
-            if latency_ms <= bound:
-                self._counts[index] += 1
-                break
-        else:
-            self._counts[-1] += 1
+        # A sample lands in the first bucket whose bound it does not
+        # exceed.  NaN exceeds no bound yet fails every ``<=`` test, so
+        # it belongs in the overflow bucket; bisect alone would file it
+        # under the first.
+        index = bisect_left(self.BOUNDS_MS, latency_ms)
+        if latency_ms != latency_ms:
+            index = -1
+        self._counts[index] += 1
         self.count += 1
         self.sum_ms += latency_ms
         self.max_ms = max(self.max_ms, latency_ms)
@@ -153,6 +156,12 @@ class Telemetry:
     ``dropped_events`` is incremented — a week-long campaign keeps a
     bounded memory footprint, and the counter tells the operator how
     much history the window has already shed.
+
+    The ring holds plain ``(kind, module_id, detail, latency_ms)``
+    tuples; :meth:`events` materializes :class:`EngineEvent` objects
+    only when the log is read.  Every engine call appends one event, so
+    the hot path builds no object per call, and tuples of atomics are
+    untracked by CPython's garbage collector.
     """
 
     def __init__(self, max_events: int = 10_000) -> None:
@@ -163,7 +172,9 @@ class Telemetry:
         self.histogram = LatencyHistogram()
         self.max_events = max_events
         self.dropped_events = 0
-        self._events: deque[EngineEvent] = deque(maxlen=max_events)
+        self._events: "deque[tuple[str, str, str, float | None]]" = deque(
+            maxlen=max_events
+        )
 
     # ------------------------------------------------------------------
     def incr(self, name: str, amount: int = 1) -> None:
@@ -182,16 +193,34 @@ class Telemetry:
         latency_ms: float | None = None,
     ) -> None:
         with self._lock:
-            # deque(maxlen=...) evicts silently; count the displacement
-            # before appending so the drop is observable.
-            if len(self._events) == self.max_events:
-                self.dropped_events += 1
-            self._events.append(
-                EngineEvent(
-                    kind=kind, module_id=module_id,
-                    detail=detail, latency_ms=latency_ms,
-                )
-            )
+            self._append(kind, module_id, detail, latency_ms)
+
+    def account(
+        self,
+        counter: str,
+        kind: str,
+        module_id: str,
+        detail: str = "",
+        latency_ms: float | None = None,
+    ) -> None:
+        """Bump ``counter``, log one event and, for a finished call
+        (``latency_ms`` given), record its latency — one lock for the
+        whole accounting of one outcome."""
+        with self._lock:
+            self._counters[counter] = self._counters.get(counter, 0) + 1
+            if latency_ms is not None:
+                self.histogram.record(latency_ms)
+            self._append(kind, module_id, detail, latency_ms)
+
+    def _append(
+        self, kind: str, module_id: str, detail: str, latency_ms: float | None
+    ) -> None:
+        # Caller holds the lock.  deque(maxlen=...) evicts silently;
+        # count the displacement before appending so the drop is
+        # observable.
+        if len(self._events) == self.max_events:
+            self.dropped_events += 1
+        self._events.append((kind, module_id, detail, latency_ms))
 
     # ------------------------------------------------------------------
     def counter(self, name: str) -> int:
@@ -204,7 +233,8 @@ class Telemetry:
 
     def events(self) -> tuple[EngineEvent, ...]:
         with self._lock:
-            return tuple(self._events)
+            rows = tuple(self._events)
+        return tuple(EngineEvent(*row) for row in rows)
 
     def snapshot(self) -> dict:
         """A JSON-compatible snapshot of every metric."""

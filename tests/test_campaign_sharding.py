@@ -5,6 +5,8 @@ re-run), planned-order assembly, and the read-only worker views."""
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.campaign import (
@@ -309,6 +311,30 @@ class TestWorkerRows:
         assert [shard_status(db, "c", shard) for shard in range(2)] == [
             None, None,
         ]
+
+    def test_schema_less_shard_journal_is_read_without_writing(self, tmp_path):
+        # A worker killed before its schema committed leaves a shard
+        # file with no tables; refreshing the rows must not create them.
+        db = tmp_path / "fleet.sqlite"
+        journal = CampaignJournal(db)
+        try:
+            journal.create(
+                "c", 1, ["m1", "m2"], {"workers": 2, "heartbeat_timeout": 5.0}
+            )
+        finally:
+            journal.close()
+        shard0 = shard_journal_path(db, 0)
+        sqlite3.connect(shard0).close()
+        rows = worker_rows(db, "c", now=100.0)
+        assert (rows[0]["n_done"], rows[0]["n_skipped"]) == (0, 0)
+        connection = sqlite3.connect(shard0)
+        try:
+            tables = connection.execute(
+                "SELECT name FROM sqlite_master"
+            ).fetchall()
+        finally:
+            connection.close()
+        assert tables == []
 
     def test_rows_fold_heartbeats_and_events(self, tmp_path):
         db = tmp_path / "fleet.sqlite"

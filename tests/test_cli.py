@@ -248,8 +248,12 @@ class TestCampaignCli:
             ["alerts", "X"],
             ["top", "X", "--once"],
             ["profile", "--campaign", "X"],
+            ["trace", "X"],
         ],
-        ids=["campaign-status", "campaign-workers", "alerts", "top", "profile"],
+        ids=[
+            "campaign-status", "campaign-workers", "alerts", "top", "profile",
+            "trace",
+        ],
     )
     def test_read_only_commands_create_no_journal(self, capsys, tmp_path, command):
         db = self._db(tmp_path)

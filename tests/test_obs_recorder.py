@@ -180,9 +180,9 @@ class TestTraceCli:
     def test_unknown_campaign_exits_with_guidance(self, tmp_path, capsys):
         from repro.cli import main
 
-        assert main(
-            ["trace", "nope", "--db", str(tmp_path / "empty.sqlite")]
-        ) == 2
+        db = tmp_path / "empty.sqlite"
+        CampaignJournal(db).close()
+        assert main(["trace", "nope", "--db", str(db)]) == 2
         assert "no campaign 'nope'" in capsys.readouterr().err
 
     def test_trace_renders_a_journaled_campaign(self, tmp_path, capsys):
