@@ -381,8 +381,6 @@ def _tuned_generation(args: argparse.Namespace, tracing: bool = False):
         raise SystemExit("error: --parallelism must be at least 1")
     if not 0.0 <= args.fault_rate <= 1.0:
         raise SystemExit("error: --fault-rate must lie in [0, 1]")
-    if args.max_events < 1:
-        raise SystemExit("error: --max-events must be at least 1")
     ctx, catalog, pool = _world(args.seed)
     if args.module:
         by_id = {module.module_id: module for module in catalog}
@@ -420,7 +418,6 @@ def _tuned_generation(args: argparse.Namespace, tracing: bool = False):
                 else None
             ),
             tracing=tracing,
-            max_events=args.max_events,
         )
     )
     generator = ExampleGenerator(ctx, pool, engine=engine)
@@ -428,17 +425,6 @@ def _tuned_generation(args: argparse.Namespace, tracing: bool = False):
     for _pass in range(args.repeat):
         reports = generator.generate_many(catalog)
     return engine, reports
-
-
-def _warn_dropped_events(stats: dict) -> None:
-    """Tell the operator when the telemetry window is already lossy."""
-    dropped = stats.get("dropped_events", 0)
-    if dropped:
-        print(
-            f"warning: telemetry ring buffer overflowed — {dropped} events "
-            f"dropped (raise --max-events to keep more history)",
-            file=sys.stderr,
-        )
 
 
 def cmd_engine_stats(args: argparse.Namespace) -> int:
@@ -449,8 +435,6 @@ def cmd_engine_stats(args: argparse.Namespace) -> int:
         print(error, file=sys.stderr)
         return 2
     n_examples = sum(r.n_examples for r in reports.values())
-    stats = engine.stats()
-    _warn_dropped_events(stats)
     if args.json:
         print(
             json.dumps(
@@ -458,7 +442,7 @@ def cmd_engine_stats(args: argparse.Namespace) -> int:
                     "modules": len(reports),
                     "passes": args.repeat,
                     "examples_per_pass": n_examples,
-                    "stats": stats,
+                    "stats": engine.stats(),
                 },
                 indent=2,
                 sort_keys=True,
@@ -500,7 +484,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             print(error, file=sys.stderr)
             return 2
         exporter = MetricsExporter(engine)
-        _warn_dropped_events(engine.stats())
     if args.serve:
         with MetricsServer(exporter, port=args.port) as server:
             print(
@@ -1454,8 +1437,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "double-invoke for nondeterminism")
         p.add_argument("--no-conformance", action="store_true",
                        help="disable output-conformance validation")
-        p.add_argument("--max-events", type=int, default=10_000,
-                       help="telemetry event-log ring-buffer capacity")
 
     p = commands.add_parser(
         "engine-stats",

@@ -48,7 +48,6 @@ from repro.engine.invoker import (
 from repro.engine.retry import DeadlineExceededError, RetryPolicy, RetryingInvoker
 from repro.engine.scheduler import BatchScheduler
 from repro.engine.telemetry import (
-    EngineEvent,
     LatencyHistogram,
     Telemetry,
     default_clock,
@@ -76,7 +75,6 @@ __all__ = [
     "DeadlineExceededError",
     "DirectInvoker",
     "EngineConfig",
-    "EngineEvent",
     "FaultInjectingInvoker",
     "FaultPlan",
     "HealthRecord",

@@ -108,8 +108,6 @@ class EngineConfig:
             (:mod:`repro.obs.tracing`).  Off by default — the untraced
             stack is byte-identical to the pre-observability one and
             pays no tracing cost at all.
-        max_events: Ring-buffer capacity of the telemetry event log
-            (evictions are counted in ``dropped_events``).
         max_traces: Ring-buffer capacity for completed traces kept in
             memory when tracing is on.
     """
@@ -123,17 +121,16 @@ class EngineConfig:
     conformance: "ConformancePolicy | None" = None
     watchdog: "WatchdogPolicy | None" = None
     tracing: bool = False
-    max_events: int = 10_000
     max_traces: int = 1000
 
 
 class _TelemetryHooks:
-    """The wrapped layers' callbacks into the engine's telemetry.
+    """The wrapped layers' callbacks into the engine's counters.
 
     They live apart from :class:`InvocationEngine` so that the layers
     hold no reference back to the engine: an engine dropped by its last
-    user is freed at once by reference counting, with its cache and
-    event log, instead of waiting for the cyclic garbage collector.
+    user is freed at once by reference counting, with its cache,
+    instead of waiting for the cyclic garbage collector.
     """
 
     def __init__(self, telemetry: Telemetry, tracer) -> None:
@@ -141,58 +138,36 @@ class _TelemetryHooks:
         self.tracer = tracer
 
     def fault(self, module: Module, detail: str) -> None:
-        self.telemetry.account(
-            "faults_injected", "fault_injected", module.module_id, detail
-        )
+        self.telemetry.account("faults_injected")
 
     def timeout(self, module: Module, budget: float) -> None:
-        self.telemetry.account(
-            "watchdog_timeouts", "watchdog_timeout", module.module_id,
-            f"budget {budget:.3f}s",
-        )
+        self.telemetry.account("watchdog_timeouts")
 
     def violation(self, module: Module, error: MalformedOutputError) -> None:
-        self.telemetry.account(
-            "conformance_violations", "conformance_violation",
-            module.module_id, type(error).__name__,
-        )
+        self.telemetry.account("conformance_violations")
 
     def retry(
         self, module: Module, attempt: int, error: ModuleUnavailableError
     ) -> None:
-        self.telemetry.account(
-            "retries", "retry", module.module_id,
-            f"attempt {attempt}: {type(error).__name__}",
-        )
+        self.telemetry.account("retries")
         if self.tracer is not None:
             self.tracer.incr_root("retries")
 
     def exhausted(self, module: Module, error: ModuleUnavailableError) -> None:
-        self.telemetry.account(
-            "retries_exhausted", "retry_exhausted", module.module_id,
-            type(error).__name__,
-        )
+        self.telemetry.account("retries_exhausted")
 
     def transition(
         self, provider: str, old: BreakerState, new: BreakerState
     ) -> None:
-        detail = f"{old.value} -> {new.value}"
+        # A half-open probe has no counter; the ``breaker`` snapshot
+        # shows the circuit's state.
         if new is BreakerState.OPEN:
-            self.telemetry.account(
-                "breaker_opened", "breaker_transition", provider, detail
-            )
+            self.telemetry.account("breaker_opened")
         elif new is BreakerState.CLOSED:
-            self.telemetry.account(
-                "breaker_closed", "breaker_transition", provider, detail
-            )
-        else:
-            self.telemetry.event("breaker_transition", provider, detail)
+            self.telemetry.account("breaker_closed")
 
     def fast_fail(self, module: Module) -> None:
-        self.telemetry.account(
-            "breaker_fast_fails", "breaker_fast_fail", module.module_id,
-            module.provider,
-        )
+        self.telemetry.account("breaker_fast_fails")
 
 
 class InvocationEngine:
@@ -223,11 +198,7 @@ class InvocationEngine:
                 latency, injectable for tests.
         """
         self.config = config
-        self.telemetry = (
-            telemetry
-            if telemetry is not None
-            else Telemetry(max_events=config.max_events)
-        )
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.health = health if health is not None else ModuleHealthRegistry()
         self.scheduler = BatchScheduler(config.parallelism)
         self._clock = clock
@@ -355,7 +326,7 @@ class InvocationEngine:
                     counter, disposition = "cache_negative_hits", "negative-hit"
                 else:
                     counter, disposition = "cache_hits", "hit"
-                self.telemetry.account(counter, "cache_hit", module.module_id)
+                self.telemetry.account(counter)
                 if trace_attrs is not None:
                     trace_attrs["cache"] = disposition
                 return outcome.replay()
@@ -370,37 +341,35 @@ class InvocationEngine:
         try:
             outputs = self.invoker.invoke(module, ctx, bindings)
         except InvalidInputError as error:
-            self._account("invalid", module, start, type(error).__name__)
+            self._account("invalid", module, start)
             if key is not None:
                 self.cache.store_failure(key, error)
             raise
-        except ModuleTimeoutError as error:
+        except ModuleTimeoutError:
             # No answer inside the budget: transient, never cached.
-            self._account("timeout", module, start, type(error).__name__)
+            self._account("timeout", module, start)
             raise
-        except ModuleUnavailableError as error:
+        except ModuleUnavailableError:
             # Transient: never cached.
-            self._account("unavailable", module, start, type(error).__name__)
+            self._account("unavailable", module, start)
             raise
-        except MalformedOutputError as error:
+        except MalformedOutputError:
             # The module answered but lied: quarantine material, never
             # cached (a repair should get a fresh look) and never
             # admitted as a success.
-            self._account("malformed", module, start, type(error).__name__)
+            self._account("malformed", module, start)
             raise
-        except ModuleInvocationError as error:
-            self._account("transport_error", module, start, type(error).__name__)
+        except ModuleInvocationError:
+            self._account("transport_error", module, start)
             raise
-        self._account("ok", module, start, "")
+        self._account("ok", module, start)
         if key is not None:
             self.cache.store_success(key, outputs)
         return outputs
 
-    def _account(self, outcome: str, module: Module, start: float, detail: str) -> None:
+    def _account(self, outcome: str, module: Module, start: float) -> None:
         latency_ms = (self._clock() - start) * 1000.0
-        self.telemetry.account(
-            outcome, "call", module.module_id, detail or outcome, latency_ms
-        )
+        self.telemetry.account(outcome, latency_ms)
         self.health.observe(module.module_id, module.provider, outcome, latency_ms)
 
     # ------------------------------------------------------------------

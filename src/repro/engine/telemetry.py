@@ -1,4 +1,4 @@
-"""Invocation telemetry: counters, latency histograms, event log.
+"""Invocation telemetry: counters and a latency histogram.
 
 Harvesting data examples over real provider endpoints (§4) is an
 invocation-bound workload; the telemetry layer is the accounting the
@@ -14,32 +14,12 @@ from __future__ import annotations
 import threading
 import time
 from bisect import bisect_left
-from collections import deque
-from dataclasses import dataclass
 
 #: The engine-wide monotonic clock, in fractional seconds.  Everything
 #: that timestamps or measures an invocation (the engine itself, the
 #: service bus's ``duration_ms``) goes through this indirection so tests
 #: can substitute a fake clock.
 default_clock = time.perf_counter
-
-
-@dataclass(frozen=True)
-class EngineEvent:
-    """One structured entry of the engine's event log.
-
-    Attributes:
-        kind: Event kind (``call`` / ``cache_hit`` / ``retry`` /
-            ``fault_injected`` / ...).
-        module_id: The module the event concerns.
-        detail: Free-form context (error class, attempt number, ...).
-        latency_ms: Wall-clock cost of the underlying call, when measured.
-    """
-
-    kind: str
-    module_id: str
-    detail: str = ""
-    latency_ms: float | None = None
 
 
 class LatencyHistogram:
@@ -149,32 +129,18 @@ class LatencyHistogram:
 
 
 class Telemetry:
-    """Counters + latency histogram + a bounded structured event log.
+    """Counters + latency histogram.
 
-    The event log is a ring buffer: once ``max_events`` entries have
-    accumulated, each new event silently displaces the oldest and
-    ``dropped_events`` is incremented — a week-long campaign keeps a
-    bounded memory footprint, and the counter tells the operator how
-    much history the window has already shed.
-
-    The ring holds plain ``(kind, module_id, detail, latency_ms)``
-    tuples; :meth:`events` materializes :class:`EngineEvent` objects
-    only when the log is read.  Every engine call appends one event, so
-    the hot path builds no object per call, and tuples of atomics are
-    untracked by CPython's garbage collector.
+    Every event kind the engine reports has its own counter; the
+    per-call record (cache disposition, retries, outcome, latency)
+    lives on the root span when tracing is on
+    (:mod:`repro.obs.tracing`).
     """
 
-    def __init__(self, max_events: int = 10_000) -> None:
-        if max_events < 1:
-            raise ValueError("max_events must be at least 1")
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
         self.histogram = LatencyHistogram()
-        self.max_events = max_events
-        self.dropped_events = 0
-        self._events: "deque[tuple[str, str, str, float | None]]" = deque(
-            maxlen=max_events
-        )
 
     # ------------------------------------------------------------------
     def incr(self, name: str, amount: int = 1) -> None:
@@ -185,42 +151,14 @@ class Telemetry:
         with self._lock:
             self.histogram.record(latency_ms)
 
-    def event(
-        self,
-        kind: str,
-        module_id: str,
-        detail: str = "",
-        latency_ms: float | None = None,
-    ) -> None:
-        with self._lock:
-            self._append(kind, module_id, detail, latency_ms)
-
-    def account(
-        self,
-        counter: str,
-        kind: str,
-        module_id: str,
-        detail: str = "",
-        latency_ms: float | None = None,
-    ) -> None:
-        """Bump ``counter``, log one event and, for a finished call
-        (``latency_ms`` given), record its latency — one lock for the
-        whole accounting of one outcome."""
+    def account(self, counter: str, latency_ms: "float | None" = None) -> None:
+        """Bump ``counter`` and, for a finished call (``latency_ms``
+        given), record its latency — one lock for the whole accounting
+        of one outcome."""
         with self._lock:
             self._counters[counter] = self._counters.get(counter, 0) + 1
             if latency_ms is not None:
                 self.histogram.record(latency_ms)
-            self._append(kind, module_id, detail, latency_ms)
-
-    def _append(
-        self, kind: str, module_id: str, detail: str, latency_ms: float | None
-    ) -> None:
-        # Caller holds the lock.  deque(maxlen=...) evicts silently;
-        # count the displacement before appending so the drop is
-        # observable.
-        if len(self._events) == self.max_events:
-            self.dropped_events += 1
-        self._events.append((kind, module_id, detail, latency_ms))
 
     # ------------------------------------------------------------------
     def counter(self, name: str) -> int:
@@ -230,11 +168,6 @@ class Telemetry:
     def counters(self) -> "dict[str, int]":
         with self._lock:
             return dict(self._counters)
-
-    def events(self) -> tuple[EngineEvent, ...]:
-        with self._lock:
-            rows = tuple(self._events)
-        return tuple(EngineEvent(*row) for row in rows)
 
     def snapshot(self) -> dict:
         """A JSON-compatible snapshot of every metric."""
@@ -254,9 +187,6 @@ class Telemetry:
                         for pair in self.histogram.cumulative_buckets()
                     ],
                 },
-                "n_events": len(self._events),
-                "max_events": self.max_events,
-                "dropped_events": self.dropped_events,
             }
 
     # ------------------------------------------------------------------
@@ -282,14 +212,6 @@ class Telemetry:
             f"{counters.get('deadlines_exceeded', 0)} past deadline)",
             f"  injected faults: {counters.get('faults_injected', 0)}",
         ]
-        # The event log line always appears: an operator must see the
-        # ring buffer's fill level *and* how much history it has already
-        # shed, not only once the window overflowed.
-        dropped = snap["dropped_events"]
-        line = f"  event log:       {snap['n_events']}/{snap['max_events']} kept"
-        if dropped:
-            line += f" (ring buffer full, {dropped} dropped)"
-        lines.append(line)
         latency = snap["latency"]
         if latency["count"]:
             lines.append(
@@ -325,12 +247,7 @@ def merge_stats_snapshots(snapshots: "list[dict]") -> dict:
     per-module sums (``n_modules``, ``dead_modules``) are disjoint and
     add exactly.
     """
-    merged: dict = {
-        "counters": {},
-        "n_events": 0,
-        "max_events": 0,
-        "dropped_events": 0,
-    }
+    merged: dict = {"counters": {}}
     histogram = LatencyHistogram()
     for snapshot in snapshots:
         if not snapshot:
@@ -340,11 +257,6 @@ def merge_stats_snapshots(snapshots: "list[dict]") -> dict:
         latency = snapshot.get("latency")
         if latency:
             histogram.absorb(LatencyHistogram.from_snapshot(latency))
-        merged["n_events"] += snapshot.get("n_events", 0)
-        merged["max_events"] = max(
-            merged["max_events"], snapshot.get("max_events", 0)
-        )
-        merged["dropped_events"] += snapshot.get("dropped_events", 0)
         _merge_cache(merged, snapshot.get("cache"))
         _merge_breaker(merged, snapshot.get("breaker"))
         _merge_watchdog(merged, snapshot.get("watchdog"))

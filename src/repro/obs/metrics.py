@@ -28,8 +28,8 @@ Metric naming follows the Prometheus conventions:
     totals.
 ``repro_provider_availability{provider=...}``, ``repro_dead_modules``
     The health registry's provider rollup and observed-dead gauge.
-``repro_telemetry_dropped_events_total``, ``repro_tracing_*``
-    How much history the bounded buffers have already shed — an
+``repro_tracing_*``
+    How much history the bounded trace buffer has already shed — an
     exporter must say when its own window is lossy.
 ``repro_slo_burn_rate{slo=...,subject=...,window=...}``, ``repro_slo_alert_firing{...}``
     Burn-rate gauges and the alert lifecycle from
@@ -301,13 +301,6 @@ def render_prometheus(stats: dict, namespace: str = "repro") -> str:
     )
     for name in sorted(counters):
         out.sample(metric, counters[name], {"event": name})
-
-    metric = out.declare(
-        "telemetry_dropped_events_total",
-        "counter",
-        "Telemetry events shed by the bounded ring buffer.",
-    )
-    out.sample(metric, stats.get("dropped_events", 0))
 
     cache = stats.get("cache")
     if cache is not None:

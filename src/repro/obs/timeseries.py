@@ -45,9 +45,8 @@ DEFAULT_RING_SIZE = 512
 class TimeSeriesRing:
     """A bounded ring of samples with an eviction counter.
 
-    Mirrors the telemetry event ring: once full, each new sample
-    silently displaces the oldest and ``dropped_samples`` records how
-    much history the window has shed.  Not thread-safe on its own — the
+    Once full, each new sample silently displaces the oldest and
+    ``dropped_samples`` records how much history the window has shed.  Not thread-safe on its own — the
     sampler serializes appends.
     """
 
@@ -182,7 +181,6 @@ def take_sample(engine, progress: dict, t_ms: float, run: int, seq: int) -> dict
                 list(pair) for pair in latency["cumulative_buckets"]
             ],
         },
-        "dropped_events": stats.get("dropped_events", 0),
         "breaker": stats.get("breaker", {}),
         "health": stats.get("health", {}),
         "conformance": stats.get("conformance"),

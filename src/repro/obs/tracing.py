@@ -44,9 +44,9 @@ Design constraints, in order:
   its trace was exported; its late spans are dropped (and counted in
   ``late_spans``) instead of mutating an already-exported tree.
 * **Bounded.**  Completed traces land in a ring buffer (``max_traces``)
-  with an eviction counter, exactly like the telemetry event log; a
-  sink callback (the campaign flight recorder) can persist every trace
-  as it completes.  The ring stores the packed tuple form directly —
+  with an eviction counter (``dropped_traces``); a sink callback (the
+  campaign flight recorder) can persist every trace as it completes.
+  The ring stores the packed tuple form directly —
   tuples of atomics are *untracked* by CPython's garbage collector, so
   retaining a thousand trees does not tax every collection of an
   unrelated workload.

@@ -377,14 +377,6 @@ class TestTelemetry:
         with pytest.raises(ValueError):
             hist.quantile(1.2)
 
-    def test_event_log_is_bounded(self):
-        telemetry = Telemetry(max_events=3)
-        for index in range(10):
-            telemetry.event("call", f"m{index}")
-        events = telemetry.events()
-        assert len(events) == 3
-        assert events[-1].module_id == "m9"
-
     def test_snapshot_and_render(self):
         telemetry = Telemetry()
         telemetry.incr("calls")
@@ -396,27 +388,6 @@ class TestTelemetry:
         text = telemetry.render()
         assert "module calls:    1" in text
         assert "latency" in text
-
-    def test_ring_buffer_counts_dropped_events(self):
-        telemetry = Telemetry(max_events=3)
-        for index in range(10):
-            telemetry.event("call", f"m{index}")
-        assert telemetry.dropped_events == 7
-        snap = telemetry.snapshot()
-        assert snap["max_events"] == 3
-        assert snap["dropped_events"] == 7
-        assert snap["n_events"] == 3
-        assert "ring buffer full, 7 dropped" in telemetry.render()
-
-    def test_drop_line_only_appears_when_events_were_dropped(self):
-        telemetry = Telemetry(max_events=3)
-        telemetry.event("call", "m0")
-        assert telemetry.dropped_events == 0
-        assert "dropped" not in telemetry.render()
-
-    def test_max_events_validation(self):
-        with pytest.raises(ValueError, match="max_events"):
-            Telemetry(max_events=0)
 
     def test_thread_safety_under_concurrent_increments(self):
         import threading
@@ -505,14 +476,16 @@ class TestInvocationEngine:
         assert engine.telemetry.counter("ok") == 1
         stats = engine.stats()
         assert stats["cache"]["misses"] == 1
-        kinds = {event.kind for event in engine.telemetry.events()}
-        assert {"fault_injected", "retry", "call"} <= kinds
+        counters = stats["counters"]
+        assert counters["faults_injected"] == 2
+        assert counters["retries"] == 2
+        assert counters["ok"] == 1
 
     def test_full_stack_is_freed_without_the_cycle_collector(
         self, module, ctx, good_bindings
     ):
         """No layer holds a reference back to the engine, so dropping it
-        frees its cache and event log at once."""
+        frees its cache at once."""
         engine = InvocationEngine(
             EngineConfig(
                 cache_size=16,

