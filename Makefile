@@ -72,9 +72,11 @@ bench-obs:
 	$(PYTHON) benchmarks/bench_obs.py
 
 # Matching acceptance smoke (the CI match-smoke job): the match/ unit
-# and property tests, the canonical value encoder's property tests
-# (tokens are hashed from its bytes) and the engine accounting's
-# equivalence tests (every verify invocation is accounted through it).
+# and property tests, the canonical and wire encoders' byte-identity
+# tests (tokens and keys are hashed from their bytes), and the tests of
+# each layer a verify invocation crosses: the engine accounting's and
+# the cache's equivalence with their oracles, structural type lookup in
+# the wire decoder, and compare_behavior's pinned equality.
 # The CI job then runs a downsized benchmark writing to a temp file
 # (the committed BENCH_match.json stays untouched).
 match-smoke:
@@ -83,7 +85,9 @@ match-smoke:
 		tests/test_match_builder.py tests/test_match_repair.py \
 		tests/test_match_cli.py tests/test_match_exactness.py \
 		tests/test_match_sketch.py tests/test_values_canonical.py \
-		tests/test_engine_telemetry.py
+		tests/test_wire_encoding.py tests/test_engine_telemetry.py \
+		tests/test_engine_cache_model.py tests/test_structural_lookup.py \
+		tests/test_matching_equality.py
 
 # Benchmark smoke (the CI match-smoke job): every perfbench workload for
 # one second untraced, then synth-match once traced, so a wrong output

@@ -16,6 +16,7 @@ hardware; the recorded factors land in the benchmark output.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro.core.generation import ExampleGenerator
@@ -31,33 +32,40 @@ def _generator(ctx, pool, **config) -> ExampleGenerator:
     return ExampleGenerator(ctx, pool, engine=InvocationEngine(EngineConfig(**config)))
 
 
-def _paired_overhead(label: str, run_plain, run_costly) -> float:
+def _paired_overhead(label: str, items, run_plain, run_costly, rounds: int = 20) -> float:
     """Relative wall-clock overhead of ``run_costly`` over ``run_plain``.
 
-    One estimate is the median paired delta over the median base of ten
-    alternating back-to-back pairs; the best of up to five estimates is
-    returned, sampling stopping early once one lands under 0.04.  The
-    estimates are printed under ``label``.  See
-    :func:`test_engine_tracing_overhead_bounded` for why.
+    An item is the unit the two runs are interleaved at: one module, or
+    a whole catalog where the costly variant only exists per pass.  One
+    estimate runs ``rounds`` rounds; each round times both variants back
+    to back on every item, the order alternating from item to item and
+    from round to round.  Per item, the median paired delta and the
+    median plain time are taken over the rounds; the estimate is the sum
+    of the median deltas over the sum of the median plain times.  The
+    best of up to five estimates is returned, sampling stopping early
+    once one lands under 0.04.  The estimates are printed under
+    ``label``.  See :func:`test_engine_tracing_overhead_bounded` for why.
     """
-
-    def timed(run) -> float:
-        start = time.perf_counter()
-        run()
-        return time.perf_counter() - start
+    clock = time.perf_counter
 
     def estimate() -> float:
-        deltas, bases = [], []
-        for pair in range(10):
-            if pair % 2:
-                cost, base = timed(run_costly), timed(run_plain)
-            else:
-                base, cost = timed(run_plain), timed(run_costly)
-            deltas.append(cost - base)
-            bases.append(base)
-        deltas.sort()
-        bases.sort()
-        return deltas[len(deltas) // 2] / bases[len(bases) // 2]
+        deltas = [[] for _ in items]
+        bases = [[] for _ in items]
+        for round_ in range(rounds):
+            for index, item in enumerate(items):
+                costly_first = (round_ + index) % 2
+                start = clock()
+                (run_costly if costly_first else run_plain)(item)
+                middle = clock()
+                (run_plain if costly_first else run_costly)(item)
+                end = clock()
+                first, second = middle - start, end - middle
+                cost, base = (first, second) if costly_first else (second, first)
+                deltas[index].append(cost - base)
+                bases[index].append(base)
+        return sum(map(statistics.median, deltas)) / sum(
+            map(statistics.median, bases)
+        )
 
     estimates: "list[float]" = []
     for _attempt in range(5):
@@ -67,8 +75,8 @@ def _paired_overhead(label: str, run_plain, run_costly) -> float:
         time.sleep(1.0)  # let a noisy-machine burst pass before resampling
     overhead = min(estimates)
     print(
-        f"\n{label}: {overhead:+.1%} "
-        f"(best of {len(estimates)} ten-pair median estimates: "
+        f"\n{label}: {overhead:+.1%} (best of {len(estimates)} estimates "
+        f"over {rounds} rounds x {len(items)} items: "
         f"{', '.join(f'{e:+.1%}' for e in estimates)})"
     )
     return overhead
@@ -156,17 +164,20 @@ def test_engine_tracing_overhead_bounded(setup):
     generation workload, and traced reports are byte-identical.
 
     The workload runs in ~100us per invocation, so the ~5% signal is
-    far below this machine's noise floor (frequency scaling, co-tenant
-    load: individual rounds swing by +-30%).  The estimator is built
-    for that reality: rounds are paired back to back so drift hits both
-    sides, the order within a pair alternates so whichever thermal or
-    turbo state the first run leaves behind penalizes each variant
-    equally, one estimate is the median paired *delta* over ten pairs
-    (the median discards GC pauses and scheduler spikes), and the best
-    of up to five independent estimates is asserted, sampling stopping
-    early once one lands clearly under the bound — a noisy co-tenant
-    burst lasts seconds and is waited out, while a genuinely >=5%
-    overhead fails every sample.
+    far below a shared host's noise floor (frequency scaling, co-tenant
+    load: whole catalog passes swing by +-30%).  The estimator is built
+    for that reality: the traced and untraced generators are paired on
+    each *module*, back to back, so drift (which moves over tens of
+    milliseconds, not the fraction of a millisecond one module takes)
+    hits both sides of a pair alike; the order within a pair alternates
+    so whichever cache or turbo state the first run leaves behind
+    penalizes each variant equally; per module the median paired
+    *delta* over twenty rounds is kept (the median discards GC pauses
+    and scheduler spikes), so one estimate rests on 20 x 252 pairs; and
+    the best of up to five independent estimates is asserted, sampling
+    stopping early once one lands clearly under the bound — a noisy
+    co-tenant burst lasts seconds and is waited out, while a genuinely
+    >=5% overhead fails every sample.
     """
     sample = setup.catalog
     untraced = _generator(setup.ctx, setup.pool)
@@ -177,9 +188,7 @@ def test_engine_tracing_overhead_bounded(setup):
     assert traced_reports == untraced_reports
 
     overhead = _paired_overhead(
-        "tracing overhead",
-        lambda: untraced.generate_many(sample),
-        lambda: traced.generate_many(sample),
+        "tracing overhead", sample, untraced.generate, traced.generate
     )
     assert overhead < 0.05
 
@@ -195,7 +204,9 @@ def test_engine_sampling_overhead_bounded(setup):
     ships — a clock check per module, a snapshot only when the interval
     has elapsed — so the number measured here is the number campaigns
     pay.  Same estimator (:func:`_paired_overhead`) as
-    :func:`test_engine_tracing_overhead_bounded`.
+    :func:`test_engine_tracing_overhead_bounded`, paired per catalog
+    pass: the interval gate spans modules, so a pass is the unit the
+    sampled path exists in.
     """
     from repro.obs.slo import SLOEvaluator
     from repro.obs.timeseries import CampaignSampler
@@ -207,10 +218,10 @@ def test_engine_sampling_overhead_bounded(setup):
     sampler = CampaignSampler(sampled.engine, evaluator=SLOEvaluator())
     n_planned = len(sample)
 
-    def run_plain():
+    def run_plain(sample=sample):
         return {m.module_id: plain.generate(m) for m in sample}
 
-    def run_sampled():
+    def run_sampled(sample=sample):
         reports = {}
         last = time.perf_counter()
         for index, module in enumerate(sample):
@@ -233,7 +244,9 @@ def test_engine_sampling_overhead_bounded(setup):
             break
     assert len(sampler.ring) > 0
 
-    overhead = _paired_overhead("sampling overhead", run_plain, run_sampled)
+    overhead = _paired_overhead(
+        "sampling overhead", [sample], run_plain, run_sampled
+    )
     assert overhead < 0.05
 
 
@@ -245,7 +258,8 @@ def test_engine_profiler_overhead_bounded(setup):
     50 Hz is the rate ``REPRO_PROFILE_HZ=50`` arms fleet-wide, so the
     number measured here is the number replicas and shard workers pay.
     Same estimator (:func:`_paired_overhead`) as
-    :func:`test_engine_tracing_overhead_bounded`.
+    :func:`test_engine_tracing_overhead_bounded`, paired per catalog
+    pass: the profiler thread is started once per pass.
     """
     from repro.obs.profiler import SamplingProfiler
 
@@ -253,17 +267,17 @@ def test_engine_profiler_overhead_bounded(setup):
     generator = _generator(setup.ctx, setup.pool)
     baseline_reports = generator.generate_many(sample)  # warm
 
-    def run_plain():
+    def run_plain(sample=sample):
         return generator.generate_many(sample)
 
-    def run_profiled():
+    def run_profiled(sample=sample):
         with SamplingProfiler(hz=50):
             return generator.generate_many(sample)
 
     assert run_profiled() == baseline_reports
 
     overhead = _paired_overhead(
-        "profiler overhead at 50 Hz", run_plain, run_profiled
+        "profiler overhead at 50 Hz", [sample], run_plain, run_profiled
     )
     assert overhead < 0.05
 

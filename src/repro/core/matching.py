@@ -164,22 +164,23 @@ def compare_behavior(
         invoker = lambda module, bindings: invoke_via_interface(  # noqa: E731
             module, ctx, bindings
         )
+    input_map, output_map = mapping.inputs, mapping.outputs
     agreement_domain: dict[str, set[str]] = {}
     n_agreeing = 0
     for example in examples:
-        bindings = {
-            mapping.inputs[b.parameter]: b.value for b in example.inputs
-        }
+        bindings = {input_map[b.parameter]: b.value for b in example.inputs}
         try:
             outputs = invoker(candidate, bindings)
         except ModuleInvocationError:
             continue
-        agrees = all(
-            mapping.outputs[b.parameter] in outputs
-            and outputs[mapping.outputs[b.parameter]].payload == b.value.payload
-            for b in example.outputs
-        )
-        if agrees:
+        # An example agrees when every mapped output is present and its
+        # payload is ``==`` the expected one (raw equality: ``1 == 1.0``,
+        # NaN never agrees with NaN unless it is the same object).
+        for b in example.outputs:
+            name = output_map[b.parameter]
+            if name not in outputs or not outputs[name].payload == b.value.payload:
+                break
+        else:
             n_agreeing += 1
             for binding in example.inputs:
                 concept = binding.partition or binding.value.concept

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.engine.telemetry import default_clock
 from repro.modules.errors import InvalidInputError
@@ -66,14 +67,15 @@ class CacheStats:
         return (self.hits + self.negative_hits) / lookups if lookups else 0.0
 
 
-@dataclass(frozen=True)
-class CachedOutcome:
+class CachedOutcome(NamedTuple):
     """The memoized result of one invocation: either the output bindings
     or the permanent failure the module answered with.
 
     Negative outcomes additionally remember *when* (``stored_at``, on
     the cache's clock) and *under which generation* they were stored, so
-    TTL expiry and repair-driven invalidation can revisit them."""
+    TTL expiry and repair-driven invalidation can revisit them.  A named
+    tuple, because every cache miss builds one: a tuple is built in one
+    step, not one ``object.__setattr__`` per field."""
 
     outputs: "dict[str, TypedValue] | None" = None
     error_type: "type[InvalidInputError] | None" = None
@@ -137,16 +139,6 @@ class InvocationCache:
             return len(self._entries)
 
     # ------------------------------------------------------------------
-    def _negative_entry_stale(self, outcome: CachedOutcome) -> bool:
-        if not outcome.is_failure:
-            return False
-        if outcome.generation < self.generation:
-            return True
-        return (
-            self.negative_ttl is not None
-            and self._clock() - outcome.stored_at >= self.negative_ttl
-        )
-
     def lookup(self, key: tuple[str, str]) -> "CachedOutcome | None":
         """The cached outcome for ``key`` (freshened to most-recent), or
         ``None`` on a miss.  A negative entry past its TTL or from an
@@ -157,23 +149,29 @@ class InvocationCache:
             if outcome is None:
                 self.stats.misses += 1
                 return None
-            if self._negative_entry_stale(outcome):
+            # Positive entries never expire: the common hit is tested
+            # first, with no staleness check.
+            if outcome.error_type is None:
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+                return outcome
+            if outcome.generation < self.generation or (
+                self.negative_ttl is not None
+                and self._clock() - outcome.stored_at >= self.negative_ttl
+            ):
                 del self._entries[key]
                 self.stats.negative_expired += 1
                 self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
-            if outcome.is_failure:
-                self.stats.negative_hits += 1
-            else:
-                self.stats.hits += 1
+            self.stats.negative_hits += 1
             return outcome
 
     def store_success(
         self, key: tuple[str, str], outputs: dict[str, TypedValue]
     ) -> None:
         """Memoize a normal termination."""
-        self._store(key, CachedOutcome(outputs=dict(outputs)))
+        self._store(key, CachedOutcome(dict(outputs)))
 
     def store_failure(self, key: tuple[str, str], error: InvalidInputError) -> None:
         """Memoize an abnormal termination (negative caching)."""

@@ -37,7 +37,7 @@ from repro.engine.breaker import (
     CircuitBreaker,
     CircuitBreakingInvoker,
 )
-from repro.engine.cache import InvocationCache, canonical_key
+from repro.engine.cache import InvocationCache
 from repro.engine.conformance import ConformancePolicy, ConformingInvoker
 from repro.engine.faults import FaultInjectingInvoker, FaultPlan
 from repro.engine.health import ModuleHealthRegistry
@@ -54,7 +54,7 @@ from repro.modules.errors import (
 )
 from repro.modules.interfaces import invoke_via_interface
 from repro.modules.model import Module, ModuleContext
-from repro.values import TypedValue
+from repro.values import TypedValue, bindings_json
 
 
 @runtime_checkable
@@ -318,32 +318,36 @@ class InvocationEngine:
         bindings: dict[str, TypedValue],
         trace_attrs: "dict | None",
     ) -> dict[str, TypedValue]:
-        if self.cache is not None:
-            key = canonical_key(module, bindings)
-            outcome = self.cache.lookup(key)
+        cache = self.cache
+        if cache is not None:
+            # canonical_key, inlined: this runs on every engine call.
+            key = (module.module_id, bindings_json(bindings))
+            outcome = cache.lookup(key)
             if outcome is not None:
-                if outcome.is_failure:
-                    counter, disposition = "cache_negative_hits", "negative-hit"
-                else:
-                    counter, disposition = "cache_hits", "hit"
-                self.telemetry.account(counter)
+                if outcome.error_type is None:
+                    self.telemetry.account("cache_hits")
+                    if trace_attrs is not None:
+                        trace_attrs["cache"] = "hit"
+                    # Shallow copy: callers may mutate the mapping they receive.
+                    return dict(outcome.outputs)
+                self.telemetry.account("cache_negative_hits")
                 if trace_attrs is not None:
-                    trace_attrs["cache"] = disposition
+                    trace_attrs["cache"] = "negative-hit"
                 return outcome.replay()
-            self.telemetry.incr("cache_misses")
+            self.telemetry.account("cache_misses")
             if trace_attrs is not None:
                 trace_attrs["cache"] = "miss"
         else:
             key = None
 
-        self.telemetry.incr("calls")
+        self.telemetry.account("calls")
         start = self._clock()
         try:
             outputs = self.invoker.invoke(module, ctx, bindings)
         except InvalidInputError as error:
             self._account("invalid", module, start)
             if key is not None:
-                self.cache.store_failure(key, error)
+                cache.store_failure(key, error)
             raise
         except ModuleTimeoutError:
             # No answer inside the budget: transient, never cached.
@@ -364,7 +368,7 @@ class InvocationEngine:
             raise
         self._account("ok", module, start)
         if key is not None:
-            self.cache.store_success(key, outputs)
+            cache.store_success(key, outputs)
         return outputs
 
     def _account(self, outcome: str, module: Module, start: float) -> None:

@@ -143,18 +143,11 @@ class Telemetry:
         self.histogram = LatencyHistogram()
 
     # ------------------------------------------------------------------
-    def incr(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + amount
-
-    def record_latency(self, latency_ms: float) -> None:
-        with self._lock:
-            self.histogram.record(latency_ms)
-
     def account(self, counter: str, latency_ms: "float | None" = None) -> None:
         """Bump ``counter`` and, for a finished call (``latency_ms``
         given), record its latency — one lock for the whole accounting
-        of one outcome."""
+        of one outcome.  Counters and latencies have no other entry
+        point."""
         with self._lock:
             self._counters[counter] = self._counters.get(counter, 0) + 1
             if latency_ms is not None:

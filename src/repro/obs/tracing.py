@@ -34,7 +34,8 @@ Design constraints, in order:
   just a clock read plus a list-length mark, and closing it claims
   everything recorded past the mark as children.  No span objects, no
   parent pointers and no locks exist on the hot path — one small tuple
-  per span, built once at close time.
+  per span, built once at close time from the raw clock readings;
+  milliseconds are computed when a tree is read, not while recording.
 * **Thread-correct.**  The batch scheduler invokes from worker threads
   (each has its own ``pending`` list) and the watchdog runs the inner
   stack on its own worker thread; the spans recorded there are handed
@@ -47,14 +48,16 @@ Design constraints, in order:
   with an eviction counter (``dropped_traces``); a sink callback (the
   campaign flight recorder) can persist every trace as it completes.
   The ring stores the packed tuple form directly —
-  tuples of atomics are *untracked* by CPython's garbage collector, so
-  retaining a thousand trees does not tax every collection of an
-  unrelated workload.
+  tuples and dicts of atomics are *untracked* by CPython's garbage
+  collector, so retaining a thousand trees does not tax every
+  collection of an unrelated workload.
 
 Packed form, position by position (see :func:`_unpack`)::
 
-    (name, module_id, start_ms, duration_ms, outcome, detail,
-     attribute_items, children)
+    (name, module_id, start, end, outcome, detail, attributes, children)
+
+``start`` and ``end`` are readings of the tracer's clock; ``attributes``
+is the root's sealed attribute dict (``()`` for a layer span).
 """
 
 from __future__ import annotations
@@ -228,17 +231,19 @@ class Span:
         return span
 
 
-def _unpack(packed: tuple) -> Span:
-    """Materialize a :class:`Span` tree from its packed recorder form."""
-    name, module_id, start_ms, duration_ms, outcome, detail, attrs, children = packed
+def _unpack(packed: tuple, origin: float) -> Span:
+    """Materialize a :class:`Span` tree from its packed recorder form,
+    timed in milliseconds since the tracer's ``origin``."""
+    name, module_id, start, end, outcome, detail, attrs, children = packed
+    start_ms = (start - origin) * 1000.0
     span = Span(name, module_id, start_ms, dict(attrs))
-    span.duration_ms = duration_ms
+    span.duration_ms = (end - origin) * 1000.0 - start_ms
     if outcome != "ok":
         span.outcome = outcome
     if detail:
         span.detail = detail
     if children:
-        span.children = [_unpack(child) for child in children]
+        span.children = [_unpack(child, origin) for child in children]
     return span
 
 
@@ -266,8 +271,9 @@ class Tracer:
 
     Thread model: every thread owns a flat ``pending`` list of completed
     spans; claiming children and recording a finished span touch only
-    that list, so the hot path is lock-free.  The tracer-wide lock
-    guards the completed-trace ring buffer and the watchdog hand-off.
+    that list, and a finished trace is appended to the shared ring
+    without a lock, so the hot path is lock-free.  The tracer-wide lock
+    guards trimming and reading the ring and the watchdog hand-off.
 
     Args:
         clock: Monotonic clock shared with the engine, injectable for
@@ -293,19 +299,24 @@ class Tracer:
         self.max_traces = max_traces
         self.dropped_traces = 0
         self.late_spans = 0
-        # deque(maxlen): eviction is O(1) — a full ring must not make
-        # every subsequent trace pay a linear shift.  Entries are packed
-        # tuples, kept off the garbage collector's books (module
-        # docstring, "Bounded").
-        self._traces: "deque[tuple]" = deque(maxlen=max_traces)
+        # Entries are packed tuples, kept off the garbage collector's
+        # books (module docstring, "Bounded").  A finished trace is
+        # appended without the lock (a deque append is atomic); the ring
+        # is cut back to ``max_traces`` in batches, under the lock, once
+        # it holds a quarter more.  Readers see what a ring evicting on
+        # every append would hold (``_ring``): the newest ``max_traces``
+        # traces and the exact eviction count.
+        self._traces: "deque[tuple]" = deque()
+        self._trim_at = max_traces + 1 + max_traces // 4
         self._lock = threading.Lock()
         self._local = threading.local()
         self._origin = clock()
 
     # ------------------------------------------------------------------
     # The hot path: open/close for layer spans, the *_root variants for
-    # the engine's enclosing span.  A token is ``(mark, start_ms)``:
-    # the pending-list length at open time plus the start stamp.
+    # the engine's enclosing span.  A token is ``(mark, start)``: the
+    # pending-list length at open time plus the clock reading; a root's
+    # token also carries its attribute dict.
     # ------------------------------------------------------------------
     def open(self) -> "tuple[int, float]":
         """Open a layer span on this thread.  Lock-free."""
@@ -313,7 +324,7 @@ class Tracer:
         pending = getattr(local, "pending", None)
         if pending is None:
             pending = local.pending = []
-        return len(pending), (self._clock() - self._origin) * 1000.0
+        return len(pending), self._clock()
 
     def close(
         self,
@@ -326,70 +337,85 @@ class Tracer:
         """Close a layer span: everything recorded past the token's
         mark completed inside this span and becomes its children.
         Lock-free."""
-        mark, start_ms = token
-        duration_ms = (self._clock() - self._origin) * 1000.0 - start_ms
+        end = self._clock()
+        mark, start = token
         pending = self._local.pending
         if len(pending) > mark:
             children = tuple(pending[mark:])
             del pending[mark:]
         else:
             children = ()
-        pending.append(
-            (name, module_id, start_ms, duration_ms, outcome, detail, (), children)
-        )
+        pending.append((name, module_id, start, end, outcome, detail, (), children))
 
-    def open_root(self, attributes: dict) -> "tuple[int, float]":
+    def open_root(self, attributes: dict) -> "tuple[int, float, dict]":
         """Open the engine's enclosing span.  ``attributes`` is the
         live correlation dict — the engine annotates it during the call
         (cache disposition, retry count) and :meth:`close_root` seals
         it into the exported trace."""
         local = self._local
-        pending = getattr(local, "pending", None)
-        if pending is None:
-            pending = local.pending = []
-        for key, value in _AMBIENT_ATTRIBUTES.get():
-            attributes.setdefault(key, value)
+        try:
+            mark = len(local.pending)
+        except AttributeError:
+            local.pending = []
+            mark = 0
+        ambient = _AMBIENT_ATTRIBUTES.get()
+        if ambient:
+            for key, value in ambient:
+                attributes.setdefault(key, value)
         local.root_attrs = attributes
-        return len(pending), (self._clock() - self._origin) * 1000.0
+        return mark, self._clock(), attributes
 
     def close_root(
         self,
         module_id: str,
-        token: "tuple[int, float]",
+        token: "tuple[int, float, dict]",
         outcome: str = "ok",
         detail: str = "",
     ) -> None:
         """Close the enclosing span and export the completed trace:
-        ring buffer (eviction counted) plus sink, if one is set."""
-        mark, start_ms = token
-        duration_ms = (self._clock() - self._origin) * 1000.0 - start_ms
+        ring buffer (eviction counted) plus sink, if one is set.  The
+        attribute dict is stored as it is: nothing writes to it once
+        this thread's ``root_attrs`` no longer points at it."""
+        end = self._clock()
+        mark, start, attributes = token
         local = self._local
+        local.root_attrs = None
         pending = local.pending
         if len(pending) > mark:
             children = tuple(pending[mark:])
             del pending[mark:]
         else:
             children = ()
-        attributes = local.root_attrs
-        local.root_attrs = None
         packed = (
-            "invoke",
-            module_id,
-            start_ms,
-            duration_ms,
-            outcome,
-            detail,
-            tuple(attributes.items()) if attributes else (),
-            children,
+            "invoke", module_id, start, end, outcome, detail,
+            attributes or (), children,
         )
-        with self._lock:
-            # Deque eviction is silent; count it.
-            if len(self._traces) == self.max_traces:
-                self.dropped_traces += 1
-            self._traces.append(packed)
-            sink = self.sink
+        traces = self._traces
+        traces.append(packed)
+        if len(traces) > self._trim_at:
+            with self._lock:
+                self._trim()
+        sink = self.sink
         if sink is not None:
-            sink(_unpack(packed))
+            sink(_unpack(packed, self._origin))
+
+    def _trim(self) -> None:
+        """Evict the traces beyond ``max_traces``, oldest first, and
+        count them.  The caller holds the lock."""
+        traces = self._traces
+        excess = len(traces) - self.max_traces
+        for _ in range(excess):
+            traces.popleft()
+        if excess > 0:
+            self.dropped_traces += excess
+
+    def _ring(self) -> "tuple[tuple, int]":
+        """What a ring evicting on every append would hold now: the
+        newest ``max_traces`` traces, and its eviction count.  The caller
+        holds the lock; the copy is one atomic read of the deque."""
+        packed = tuple(self._traces)
+        excess = max(0, len(packed) - self.max_traces)
+        return packed[excess:], self.dropped_traces + excess
 
     def annotate_root(self, key: str, value) -> None:
         """Set an attribute on this thread's active root span, if any."""
@@ -465,21 +491,27 @@ class Tracer:
         trees each time, so mutating a returned span never corrupts
         the ring."""
         with self._lock:
-            packed = tuple(self._traces)
-        return tuple(_unpack(entry) for entry in packed)
+            packed, _dropped = self._ring()
+        return tuple(_unpack(entry, self._origin) for entry in packed)
 
     def clear(self) -> None:
         """Drop every completed trace (the counters survive)."""
         with self._lock:
-            self._traces.clear()
+            traces = self._traces
+            present = len(traces)
+            # popleft, not clear(): a trace appended meanwhile stays.
+            for _ in range(present):
+                traces.popleft()
+            self.dropped_traces += max(0, present - self.max_traces)
 
     def snapshot(self) -> dict:
         """JSON-compatible tracer accounting."""
         with self._lock:
+            packed, dropped = self._ring()
             return {
-                "traces_kept": len(self._traces),
+                "traces_kept": len(packed),
                 "max_traces": self.max_traces,
-                "dropped_traces": self.dropped_traces,
+                "dropped_traces": dropped,
                 "late_spans": self.late_spans,
             }
 

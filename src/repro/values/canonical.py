@@ -93,6 +93,10 @@ def _value_document(value, payload_text) -> str:
 
 
 def _bindings_document(bindings, payload_text) -> str:
+    if len(bindings) == 1:
+        # Most signatures bind one parameter: nothing to sort or join.
+        [(name, value)] = bindings.items()
+        return f"{{{_quote(name)}: {_value_document(value, payload_text)}}}"
     return (
         "{"
         + ", ".join(

@@ -108,15 +108,27 @@ def list_of(item: StructuralType) -> StructuralType:
     return StructuralType(name=f"List[{item.name}]", base="List", item=item)
 
 
+#: Every registered type and the list type over each, by name: one
+#: lookup for what the wire decoder meets, one object per list type.
+_BY_NAME: dict[str, StructuralType] = {
+    **_REGISTRY,
+    **{f"List[{t.name}]": list_of(t) for t in _REGISTRY.values()},
+}
+
+
 def by_name(name: str) -> StructuralType:
-    """Look up a non-list structural type by name.
+    """Look up a structural type by name: a registered type or a
+    (possibly nested) list type over one.
 
     Raises:
         KeyError: If ``name`` does not denote a registered type.
     """
-    if name.startswith("List[") and name.endswith("]"):
-        return list_of(by_name(name[5:-1]))
-    return _REGISTRY[name]
+    try:
+        return _BY_NAME[name]
+    except KeyError:
+        if not (name.startswith("List[") and name.endswith("]")):
+            raise
+    return list_of(by_name(name[5:-1]))
 
 
 def all_types() -> tuple[StructuralType, ...]:

@@ -358,8 +358,8 @@ class TestFaultInjection:
 class TestTelemetry:
     def test_counters_accumulate(self):
         telemetry = Telemetry()
-        telemetry.incr("calls")
-        telemetry.incr("calls", 4)
+        for _ in range(5):
+            telemetry.account("calls")
         assert telemetry.counter("calls") == 5
         assert telemetry.counter("unknown") == 0
 
@@ -379,9 +379,8 @@ class TestTelemetry:
 
     def test_snapshot_and_render(self):
         telemetry = Telemetry()
-        telemetry.incr("calls")
-        telemetry.incr("ok")
-        telemetry.record_latency(0.3)
+        telemetry.account("calls")
+        telemetry.account("ok", 0.3)
         snap = telemetry.snapshot()
         assert snap["counters"]["calls"] == 1
         assert snap["latency"]["count"] == 1
@@ -396,8 +395,7 @@ class TestTelemetry:
 
         def hammer():
             for _ in range(1000):
-                telemetry.incr("calls")
-                telemetry.record_latency(0.1)
+                telemetry.account("calls", 0.1)
 
         threads = [threading.Thread(target=hammer) for _ in range(8)]
         for t in threads:

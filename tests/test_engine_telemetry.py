@@ -50,9 +50,11 @@ class SeparateCallTelemetry(Telemetry):
         self.histogram = ScanHistogram()
 
     def account(self, counter, latency_ms=None):
-        self.incr(counter)
+        with self._lock:
+            self._counters[counter] = self._counters.get(counter, 0) + 1
         if latency_ms is not None:
-            self.record_latency(latency_ms)
+            with self._lock:
+                self.histogram.record(latency_ms)
 
 
 # ----------------------------------------------------------------------

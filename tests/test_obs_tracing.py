@@ -213,6 +213,46 @@ class TestRing:
         with pytest.raises(ValueError, match="max_traces"):
             Tracer(clock=clock, max_traces=0)
 
+    @pytest.mark.parametrize("max_traces", [1, 7, 100])
+    def test_concurrent_roots_are_all_kept_or_counted(self, max_traces):
+        """Roots close from many threads at once, appending to the ring
+        without its lock while readers trim it: every trace is either
+        kept or counted as dropped, never lost or counted twice."""
+        import sys
+
+        tracer = Tracer(max_traces=max_traces)
+        n_threads, per_thread = 8, 3000
+        seen = []
+
+        def close_roots(worker):
+            for n in range(per_thread):
+                tracer.close_root(f"w{worker}-{n}", tracer.open_root({"n": n}))
+                if n % 50 == 0:
+                    snapshot = tracer.snapshot()
+                    seen.append(snapshot["traces_kept"] <= max_traces)
+                    seen.append(len(tracer.traces()) <= max_traces)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=close_roots, args=(worker,))
+                for worker in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(seen)
+        snapshot = tracer.snapshot()
+        assert snapshot["traces_kept"] == max_traces
+        assert snapshot["dropped_traces"] == n_threads * per_thread - max_traces
+        kept = tracer.traces()
+        assert len({trace.module_id for trace in kept}) == max_traces
+
     def test_sink_sees_every_completed_root(self, clock):
         recorded = []
         tracer = Tracer(clock=clock, sink=recorded.append)

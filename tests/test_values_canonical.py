@@ -204,6 +204,60 @@ class TestEncoderEqualsDumps:
 
 
 # ----------------------------------------------------------------------
+# Binding maps of each size.  One binding takes the document's unsorted,
+# unjoined path and more take the sorted one; both must print the
+# formula's bytes for the payloads and names that stress the encoder.
+# ----------------------------------------------------------------------
+SCALAR_EDGES = [
+    0, 1, -1, True, False, None, 0.0, -0.0, 1.5, math.inf, -math.inf,
+    math.nan, 2**63, 2**64 + 1, -(2**64) - 1, 10**40, 5e-324, 1e308, "é",
+]
+edge_payloads = st.recursive(
+    st.sampled_from(SCALAR_EDGES) | st.integers() | st.booleans()
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=5,
+)
+non_ascii_names = st.sampled_from(["é", "名前", "\U0001f600", "\ud800", "x"]) | texts
+non_ascii_concepts = st.none() | st.sampled_from(["Séquence", "概念", "\U0001f600"])
+
+
+@st.composite
+def edge_values(draw):
+    structural = draw(st.sampled_from(all_types()))
+    payload = draw(edge_payloads)
+    if structural.is_list and not isinstance(payload, tuple):
+        payload = (payload,)
+    return TypedValue(payload, structural, draw(non_ascii_concepts))
+
+
+class TestBindingCounts:
+    @pytest.mark.parametrize("size", [0, 1, 2, 5])
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_bindings_json(self, size, data):
+        bindings = data.draw(
+            st.dictionaries(non_ascii_names, edge_values(), min_size=size, max_size=size)
+        )
+        assert len(bindings) == size
+        expected = ref_bindings_json(bindings)
+        assert bindings_json(bindings) == expected
+        assert canonical_key(_Module(), bindings) == ("m", expected)
+
+    @pytest.mark.parametrize(
+        "payload",
+        SCALAR_EDGES + [(1, (True, (-0.0, math.nan)), 2**64), ((math.inf,),)],
+        ids=repr,
+    )
+    def test_one_binding_each_edge_payload(self, payload):
+        structural = list_of(STRING) if isinstance(payload, tuple) else STRING
+        for name, concept in (("x", None), ("名前", "Séquence"), ("\U0001f600", "概念")):
+            bindings = {name: TypedValue(payload, structural, concept)}
+            assert bindings_json(bindings) == ref_bindings_json(bindings)
+            assert payload_json(payload) == ref_payload_json(payload)
+
+
+# ----------------------------------------------------------------------
 # Drift compared payloads by json.dumps(default=repr), which prints NaN
 # as ``NaN`` where the encoder prints a tagged object.  The strings differ
 # but the equality they induce must not, for every payload a module can

@@ -45,6 +45,7 @@ from repro.values import (
     value_wire_json,
 )
 from tests.test_interfaces import _make_module
+from tests.test_values_canonical import SCALAR_EDGES, edge_values, non_ascii_names
 
 ENVELOPE_NS = "http://schemas.xmlsoap.org/soap/envelope/"
 
@@ -159,6 +160,37 @@ class TestWireJson:
     def test_nan_prints_as_the_wire_token(self):
         # The one difference from the canonical (cache-key) form.
         assert '"payload": NaN' in bindings_to_wire({"x": TypedValue(math.nan, STRING)})
+
+
+# ----------------------------------------------------------------------
+# Binding maps of each size: one binding takes the document's unsorted,
+# unjoined path, more take the sorted one.  The generated values are the
+# canonical encoder tests' edge values; the wire form prints NaN as
+# ``NaN`` where the canonical form prints a tagged object.
+# ----------------------------------------------------------------------
+class TestWireBindingCounts:
+    @pytest.mark.parametrize("size", [0, 1, 2, 5])
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_bindings_wire_json(self, size, data):
+        bindings = data.draw(
+            st.dictionaries(non_ascii_names, edge_values(), min_size=size, max_size=size)
+        )
+        assert len(bindings) == size
+        expected = ref_bindings_to_wire(bindings)
+        assert bindings_wire_json(bindings) == expected
+        assert bindings_to_wire(bindings) == expected
+
+    @pytest.mark.parametrize(
+        "payload",
+        SCALAR_EDGES + [(1, (True, (-0.0, math.nan)), 2**64), ((math.inf,),)],
+        ids=repr,
+    )
+    def test_one_binding_each_edge_payload(self, payload):
+        structural = list_of(FLOAT) if isinstance(payload, tuple) else FLOAT
+        for name, concept in (("x", None), ("名前", "Séquence"), ("\U0001f600", "概念")):
+            bindings = {name: TypedValue(payload, structural, concept)}
+            assert bindings_wire_json(bindings) == ref_bindings_to_wire(bindings)
 
 
 # ----------------------------------------------------------------------
