@@ -26,13 +26,17 @@ test-hangs:
 	REPRO_STALL_MS=0.5 REPRO_WATCHDOG_BUDGET=10 \
 		$(PYTHON) -m pytest tests/ -x -q
 
-# Longitudinal acceptance smoke (the CI slo-smoke job): a faulted
-# campaign with --trace and --sample armed fires availability and
-# drift alerts, gets SIGKILLed mid-run, resumes byte-identical, and
-# the snapshot timeline + alert history reconstruct from the journal
-# alone.
+# Longitudinal acceptance smoke (the CI slo-smoke job): the sampler,
+# SLO, drift and dashboard suites; a faulted campaign with --trace and
+# --sample armed fires availability and drift alerts, gets SIGKILLed
+# mid-run, resumes byte-identical, and the snapshot timeline + alert
+# history reconstruct from the journal alone; two fleet replicas share
+# one timeline and every reader folds it per slot and run.
 slo-smoke:
-	$(PYTHON) -m pytest -x -q tests/test_obs_longitudinal.py
+	$(PYTHON) -m pytest -x -q tests/test_obs_timeseries.py \
+		tests/test_obs_slo.py tests/test_obs_drift.py \
+		tests/test_obs_dashboard.py tests/test_obs_longitudinal.py \
+		tests/test_obs_sampler_slots.py
 
 # Plain invocation (no --benchmark-only): works with or without the
 # optional pytest-benchmark plugin — benchmarks/conftest.py provides a

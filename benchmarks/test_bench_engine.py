@@ -209,13 +209,16 @@ def test_engine_sampling_overhead_bounded(setup):
     sampled path exists in.
     """
     from repro.obs.slo import SLOEvaluator
-    from repro.obs.timeseries import CampaignSampler
+    from repro.obs.timeseries import Sampler, take_sample
 
     sample = setup.catalog
     interval = 0.05
     plain = _generator(setup.ctx, setup.pool)
     sampled = _generator(setup.ctx, setup.pool)
-    sampler = CampaignSampler(sampled.engine, evaluator=SLOEvaluator())
+    sampler = Sampler(
+        lambda progress: take_sample(sampled.engine, progress),
+        evaluator=SLOEvaluator(),
+    )
     n_planned = len(sample)
 
     def run_plain(sample=sample):

@@ -73,7 +73,8 @@ CREATE TABLE IF NOT EXISTS campaign_alerts (
     subject TEXT NOT NULL,
     state TEXT NOT NULL CHECK (state IN ('firing', 'resolved')),
     t_ms REAL NOT NULL,
-    detail TEXT NOT NULL
+    detail TEXT NOT NULL,
+    slot INTEGER
 );
 CREATE INDEX IF NOT EXISTS campaign_alerts_by_campaign
     ON campaign_alerts (campaign_id);
@@ -112,6 +113,21 @@ def open_wal(
         connection.execute("PRAGMA synchronous = NORMAL")
         connection.executescript(schema)
     return connection
+
+
+def _add_alert_slot(connection: sqlite3.Connection) -> None:
+    """Add ``campaign_alerts.slot`` to a journal from before alert
+    events carried one (NULL on every old event)."""
+    columns = connection.execute("PRAGMA table_info(campaign_alerts)")
+    if "slot" not in {row[1] for row in columns}:
+        try:
+            with connection:
+                connection.execute(
+                    "ALTER TABLE campaign_alerts ADD COLUMN slot INTEGER"
+                )
+        except sqlite3.OperationalError as error:  # a racing opener won
+            if "duplicate column" not in str(error):
+                raise
 
 
 #: Per-status entry counts of one campaign.
@@ -379,6 +395,7 @@ class CampaignJournal:
         self.path = str(path)
         self._lock = threading.Lock()
         self._connection = open_wal(self.path, _SCHEMA, busy_timeout)
+        _add_alert_slot(self._connection)
         #: Status rows, lifecycle events and spans of the processes.
         self.processes = ProcessLog(self._connection, self._lock)
 
@@ -594,13 +611,14 @@ class CampaignJournal:
 
         The journal keeps the full event *history*; current alert state
         is a fold over it (:func:`repro.obs.slo.alert_states`), so a
-        killed campaign's alerts reconstruct from the file alone.
+        killed campaign's alerts reconstruct from the file alone.  A
+        fleet replica's event carries its ``slot``.
         """
         with self._lock, self._connection:
             self._connection.execute(
                 "INSERT INTO campaign_alerts "
-                "(campaign_id, slo, kind, subject, state, t_ms, detail) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
+                "(campaign_id, slo, kind, subject, state, t_ms, detail, slot) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     campaign_id,
                     event.get("slo", ""),
@@ -609,6 +627,7 @@ class CampaignJournal:
                     event.get("state", "firing"),
                     event.get("t_ms", 0.0),
                     event.get("detail", ""),
+                    event.get("slot"),
                 ),
             )
 
@@ -616,19 +635,14 @@ class CampaignJournal:
         """The alert event history of one campaign, recording order."""
         with self._lock:
             rows = self._connection.execute(
-                "SELECT slo, kind, subject, state, t_ms, detail "
+                "SELECT slo, kind, subject, state, t_ms, detail, slot "
                 "FROM campaign_alerts WHERE campaign_id = ? ORDER BY alert_seq",
                 (campaign_id,),
             ).fetchall()
+        # Only ``slot`` is nullable: campaign events carry no slot key.
+        keys = ("slo", "kind", "subject", "state", "t_ms", "detail", "slot")
         return [
-            {
-                "slo": row[0],
-                "kind": row[1],
-                "subject": row[2],
-                "state": row[3],
-                "t_ms": row[4],
-                "detail": row[5],
-            }
+            {key: value for key, value in zip(keys, row) if value is not None}
             for row in rows
         ]
 

@@ -413,10 +413,16 @@ class CampaignRunner:
         if self.config.sample_interval <= 0:
             return
         from repro.obs.slo import SLOEvaluator
-        from repro.obs.timeseries import CampaignSampler
+        from repro.obs.timeseries import Sampler, take_sample
 
-        self.sampler = CampaignSampler(
-            self.engine,
+        n_planned = len(self.journal.meta(campaign_id).module_ids)
+
+        def source() -> dict:
+            counts = self.journal.progress_counts(campaign_id)
+            return take_sample(self.engine, {"n_planned": n_planned, **counts})
+
+        self.sampler = Sampler(
+            source,
             journal=self.journal,
             campaign_id=campaign_id,
             evaluator=SLOEvaluator(),
@@ -579,7 +585,7 @@ def evaluate_drift(
     if not baseline:
         return []
     from repro.obs.drift import campaign_drift
-    from repro.obs.slo import SLOEvaluator, alert_states
+    from repro.obs.slo import SLOEvaluator, alert_key, alert_states
 
     drift = campaign_drift(journal, baseline, reports)
     evaluator = (
@@ -593,7 +599,7 @@ def evaluate_drift(
         event = evaluator.register_drift(report, t_ms)
         if event is None:
             continue
-        prior = existing.get((event["slo"], event["subject"]))
+        prior = existing.get(alert_key(event))
         if prior is None or prior["state"] != event["state"]:
             journal.record_alert(campaign_id, event)
     return drift

@@ -91,9 +91,8 @@ from repro.obs.slo import (
     render_alerts,
 )
 from repro.obs.timeseries import (
-    CampaignSampler,
+    Sampler,
     TimeSeriesRing,
-    load_snapshots,
     rebuild_ring,
     render_timeline,
     sample_rates,
@@ -121,9 +120,8 @@ __all__ = [
     "FlightRecorder",
     "load_spans",
     "render_trace",
-    "CampaignSampler",
+    "Sampler",
     "TimeSeriesRing",
-    "load_snapshots",
     "rebuild_ring",
     "render_timeline",
     "sample_rates",

@@ -27,8 +27,8 @@ import shutil
 import sys
 import time
 
-from repro.obs.slo import FIRING, alert_states
-from repro.obs.timeseries import sample_rates
+from repro.obs.slo import FIRING, alert_states, alert_subject
+from repro.obs.timeseries import fleet_rates
 from repro.processlog import FLEET_SCOPE, REPLICA
 
 #: Frame width the progress bar is fitted to when the terminal size
@@ -110,7 +110,9 @@ def render_dashboard(
     Args:
         meta: The :class:`~repro.campaign.journal.CampaignMeta` row.
         progress: ``{"n_done", "n_skipped"}`` counts.
-        samples: Journaled snapshot timeline (oldest first).
+        samples: Journaled snapshot timeline (oldest first); a fleet's
+            replicas interleave theirs, so the rate line sums per-slot
+            rates (:func:`~repro.obs.timeseries.fleet_rates`).
         alert_events: Journaled alert history (recording order).
         width: Total frame width.
         workers: Per-shard worker rows of a sharded campaign
@@ -169,13 +171,12 @@ def render_dashboard(
         )
         counters = last["counters"]
         rate_label = ""
-        if len(samples) >= 2:
-            rates = sample_rates(samples[-2], last)
-            if rates:
-                rate_label = (
-                    f" | {rates['calls_per_s']:.1f} calls/s, "
-                    f"{rates['done_per_s']:.2f} modules/s"
-                )
+        rates = fleet_rates(samples)
+        if rates:
+            rate_label = (
+                f" | {rates['calls_per_s']:.1f} calls/s, "
+                f"{rates['done_per_s']:.2f} modules/s"
+            )
         calls = counters.get("calls", 0)
         ok = counters.get("ok", 0)
         hits = counters.get("cache_hits", 0)
@@ -247,7 +248,7 @@ def render_dashboard(
     )
     for event in firing[:6]:
         lines.append(
-            f"    FIRING   {event['slo']:<16} {event['subject']:<24} "
+            f"    FIRING   {event['slo']:<16} {alert_subject(event):<24} "
             f"{event['detail']}"
         )
     return "\n".join(lines)

@@ -23,7 +23,8 @@ through :meth:`SLOEvaluator.register_drift`: a drifting module is an
 alert like any other, with classification detail attached.
 
 State reconstruction after a crash folds the journaled event history:
-the last event per ``(slo, subject)`` wins (:func:`alert_states`), so
+the last event per ``(slo, subject)`` — and per ``slot`` for the
+replicas of a serving fleet — wins (:func:`alert_states`), so
 ``repro-cli alerts`` needs nothing but the journal.
 """
 
@@ -37,6 +38,7 @@ from repro.obs.timeseries import (
     counter_delta,
     latency_over,
     provider_deltas,
+    slot_of,
 )
 
 #: Alert lifecycle states.
@@ -219,13 +221,17 @@ _FRACTIONS = {
 def window_burns(slo: SLO, window: "list[dict]") -> "dict[str, float]":
     """Per-subject burn rates over one window of samples.
 
-    The window must not straddle a resume boundary (cumulative values
-    restart with the process); mixed-run windows are truncated to the
-    newest run segment.  Fewer than 2 samples yields no burns.
+    The window must not straddle two processes (cumulative values
+    restart with each); mixed windows are truncated to the newest
+    sample's slot and run segment.  Fewer than 2 samples yields no burns.
     """
     if len(window) >= 2:
-        run = window[-1].get("run")
-        window = [sample for sample in window if sample.get("run") == run]
+        run, slot = window[-1].get("run"), slot_of(window[-1])
+        window = [
+            sample
+            for sample in window
+            if sample.get("run") == run and slot_of(sample) == slot
+        ]
     if len(window) < 2:
         return {}
     fractions = _FRACTIONS[slo.kind](slo, window[0], window[-1])
@@ -398,14 +404,25 @@ class SLOEvaluator:
 # ----------------------------------------------------------------------
 # Reconstruction from the journal alone (crash recovery, CLI).
 
-def alert_states(events: "list[dict]") -> "dict[tuple[str, str], dict]":
+def alert_key(event: dict) -> tuple:
+    """``(slo, subject)``, plus the ``slot`` of a fleet replica's event:
+    each replica evaluates its own SLOs, so its alerts are its own."""
+    key = (event["slo"], event["subject"])
+    return key + (event["slot"],) if "slot" in event else key
+
+
+def alert_states(events: "list[dict]") -> "dict[tuple, dict]":
     """Fold an event history into current states: last event per
-    ``(slo, subject)`` wins.  Events must be in recording order, which
+    :func:`alert_key` wins.  Events must be in recording order, which
     is what ``journal.alerts()`` returns."""
-    states: dict[tuple[str, str], dict] = {}
-    for event in events:
-        states[(event["slo"], event["subject"])] = event
-    return states
+    return {alert_key(event): event for event in events}
+
+
+def alert_subject(event: dict) -> str:
+    """The subject as operators read it: a replica's events name it."""
+    if "slot" in event:
+        return f"{event['subject']} @replica {event['slot']}"
+    return event["subject"]
 
 
 def firing_alerts(events: "list[dict]") -> "list[dict]":
@@ -431,7 +448,8 @@ def render_alerts(events: "list[dict]", firing_only: bool = False) -> str:
     for row in rows:
         lines.append(
             f"  {row['state'].upper():<9} {row['slo']:<16} "
-            f"{row['subject']:<28} t+{row['t_ms'] / 1000.0:.1f}s  {row['detail']}"
+            f"{alert_subject(row):<28} t+{row['t_ms'] / 1000.0:.1f}s  "
+            f"{row['detail']}"
         )
     if firing_only and not rows:
         lines.append("  (none firing)")

@@ -1,4 +1,4 @@
-"""Longitudinal time-series sampling of a running campaign.
+"""Longitudinal time-series sampling of campaigns and servers.
 
 Everything the observability stack produced so far is point-in-time:
 ``engine.stats()`` is a snapshot, a span tree covers one invocation.
@@ -6,10 +6,11 @@ The monitoring loop of §6 asks *longitudinal* questions — is this
 provider getting worse, is the campaign still making progress — and
 those need a sequence of snapshots with deltas derived between them.
 
-:class:`CampaignSampler` periodically captures a compact **sample** of
-the engine's cumulative counters, latency histogram, breaker states,
-per-provider health rollups, conformance accounting, and campaign
-coverage progress.  Samples land in two places:
+:class:`Sampler` periodically captures a compact **sample** — for a
+campaign (:func:`take_sample`) the engine's cumulative counters,
+latency histogram, breaker states, per-provider health rollups,
+conformance accounting and coverage progress; for a server the HTTP
+accounting.  Samples land in two places:
 
 * a bounded in-memory :class:`TimeSeriesRing` (the working set for
   burn-rate evaluation and the live dashboard), and
@@ -24,14 +25,15 @@ checkpoint/resume byte-identity is untouched.  All derivations
 samples, which makes them robust to missed rounds — a wider gap is
 just a wider window.
 
-Timestamps are milliseconds on the engine's monotonic clock, relative
-to the sampler's construction.  A resumed campaign starts a fresh
-**run segment** (``run`` increments, ``t_ms`` restarts near zero);
-``snap_seq`` in the journal orders samples globally across segments.
+Timestamps are milliseconds on the monotonic clock, relative to the
+sampler's construction.  Every process start begins a fresh **run
+segment** of its **slot** (a fleet replica's index; campaigns have
+none), and ``snap_seq`` in the journal orders samples globally.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from typing import Callable
 
@@ -130,10 +132,11 @@ def dict_pairs(pairs: "list") -> "dict[str, int]":
 def sample_rates(old: dict, new: dict) -> dict:
     """Per-second rates between two samples of the same run segment.
 
-    Returns an empty dict when the samples span a resume boundary (the
-    monotonic clock restarted) or no time elapsed.
+    Returns an empty dict when the samples come from different
+    processes (another slot, or a resume boundary where the monotonic
+    clock restarted) or no time elapsed.
     """
-    if new.get("run") != old.get("run"):
+    if new.get("run") != old.get("run") or slot_of(new) != slot_of(old):
         return {}
     elapsed_s = (new["t_ms"] - old["t_ms"]) / 1000.0
     if elapsed_s <= 0:
@@ -151,26 +154,20 @@ def sample_rates(old: dict, new: dict) -> dict:
 
 # ----------------------------------------------------------------------
 
-def take_sample(engine, progress: dict, t_ms: float, run: int, seq: int) -> dict:
-    """One compact, JSON-compatible snapshot of engine + campaign state.
+def take_sample(engine, progress: dict) -> dict:
+    """One compact, JSON-compatible body of engine + campaign state.
 
     Args:
         engine: The :class:`~repro.engine.invoker.InvocationEngine`.
         progress: ``{"n_planned", "n_done", "n_skipped"}`` coverage
             counts (``n_pending`` is derived).
-        t_ms: Milliseconds since the sampler was constructed.
-        run: The run segment (0 for a fresh campaign, +1 per resume).
-        seq: Sample ordinal within this segment.
     """
     stats = engine.stats()
     latency = stats["latency"]
     n_planned = progress.get("n_planned", 0)
     n_done = progress.get("n_done", 0)
     n_skipped = progress.get("n_skipped", 0)
-    sample = {
-        "seq": seq,
-        "run": run,
-        "t_ms": t_ms,
+    return {
         "counters": dict(stats["counters"]),
         "latency": {
             "count": latency["count"],
@@ -191,23 +188,27 @@ def take_sample(engine, progress: dict, t_ms: float, run: int, seq: int) -> dict
             "n_pending": max(0, n_planned - n_done - n_skipped),
         },
     }
-    return sample
 
 
-class CampaignSampler:
-    """Periodic sampler wiring engine + journal + SLO evaluation together.
+class Sampler:
+    """Periodic sampling: stamp, ring, journal, and SLO-evaluate.
 
-    Each :meth:`sample` call appends to the in-memory ring, journals the
-    sample in its own committed transaction, and (when an evaluator is
-    attached) re-evaluates every SLO over the updated ring, journaling
-    any alert transitions.
+    The one sampler of campaigns and servers.  Each :meth:`sample`
+    stamps ``source``'s body with ``seq`` / ``run`` / ``t_ms`` (and
+    ``slot``), rings it, journals it in its own transaction, and
+    re-evaluates the SLOs, journaling any alert transitions.
 
     Args:
-        engine: The engine to snapshot.
-        journal: A campaign journal (anything with ``record_snapshot`` /
-            ``record_alert`` / ``snapshot_count``), or ``None`` for a
-            purely in-memory sampler.
-        campaign_id: The campaign the samples belong to.
+        source: Returns one sample body: :func:`take_sample` for a
+            campaign, :func:`repro.serve.sampling.http_sample` for a server.
+            :meth:`sample` passes its arguments on.
+        journal: A campaign journal, or ``None`` for a purely in-memory
+            sampler.
+        campaign_id: The campaign the samples are journaled under.
+        slot: The process slot in a fleet (the replica index), stamped
+            as ``slot`` on every sample and journaled alert event.
+            ``None`` for campaigns and standalone servers, which stamp
+            no slot.
         evaluator: Optional :class:`repro.obs.slo.SLOEvaluator`.
         ring: The ring to fill (a fresh default-sized one otherwise).
         clock: Monotonic clock in fractional seconds.
@@ -215,86 +216,135 @@ class CampaignSampler:
 
     def __init__(
         self,
-        engine,
+        source: "Callable[..., dict]",
         journal=None,
         campaign_id: str = "",
+        slot: "int | None" = None,
         evaluator=None,
         ring: "TimeSeriesRing | None" = None,
         clock: "Callable[[], float]" = default_clock,
     ) -> None:
-        self.engine = engine
-        self.journal = journal
+        self.source = source
+        self.journal = journal if campaign_id else None
         self.campaign_id = campaign_id
+        self.slot = slot
         self.evaluator = evaluator
         self.ring = ring if ring is not None else TimeSeriesRing()
         self._clock = clock
         self._t0 = clock()
         self._seq = 0
-        # A resumed campaign's samples form a new run segment: the
-        # monotonic clock restarted with the process, so deltas must
-        # never straddle the boundary.
+        self._thread: "threading.Thread | None" = None
+        self._stop = threading.Event()
+        # Every process start is a new run segment of its slot, one past
+        # the highest journaled: the monotonic clock and the cumulative
+        # counters restarted with the process, so deltas must never
+        # straddle the boundary.
         self.run = 0
-        if journal is not None and campaign_id:
-            self.run = _next_run(journal.snapshots(campaign_id))
+        if self.journal is not None:
+            journaled = by_slot(self.journal.snapshots(campaign_id)).get(slot, [])
+            runs = [sample.get("run", 0) for sample in journaled]
+            self.run = max(runs, default=-1) + 1
 
     def elapsed_ms(self) -> float:
         return (self._clock() - self._t0) * 1000.0
 
-    def sample(self, progress: "dict | None" = None) -> dict:
-        """Capture, ring, journal, and evaluate one sample."""
-        if progress is None and self.journal is not None and self.campaign_id:
-            counts = self.journal.progress_counts(self.campaign_id)
-            meta = self.journal.meta(self.campaign_id)
-            progress = {
-                "n_planned": len(meta.module_ids),
-                "n_done": counts["n_done"],
-                "n_skipped": counts["n_skipped"],
-            }
-        sample = take_sample(
-            self.engine,
-            progress or {},
-            t_ms=self.elapsed_ms(),
-            run=self.run,
-            seq=self._seq,
-        )
+    def sample(self, *args) -> dict:
+        """Capture, stamp, ring, journal, and evaluate one sample."""
+        sample = {
+            "seq": self._seq,
+            "run": self.run,
+            "t_ms": self.elapsed_ms(),
+            **self.source(*args),
+        }
+        if self.slot is not None:
+            sample["slot"] = self.slot
         self._seq += 1
         self.ring.append(sample)
-        if self.journal is not None and self.campaign_id:
-            self.journal.record_snapshot(
-                self.campaign_id, sample["t_ms"], sample
-            )
+        if self.journal is not None:
+            self.journal.record_snapshot(self.campaign_id, sample["t_ms"], sample)
         if self.evaluator is not None:
-            events = self.evaluator.evaluate(self.ring)
-            if self.journal is not None and self.campaign_id:
-                for event in events:
+            for event in self.evaluator.evaluate(self.ring):
+                if self.slot is not None:
+                    event["slot"] = self.slot
+                if self.journal is not None:
                     self.journal.record_alert(self.campaign_id, event)
         return sample
 
+    def start(self, interval: float) -> None:
+        """Sample every ``interval`` seconds on a daemon thread."""
+        if interval <= 0:
+            raise ValueError("interval must be positive")
+        if self._thread is not None:
+            return
+        self._stop.clear()
 
-def _next_run(existing: "list[dict]") -> int:
-    """The run segment a new sampler should stamp, given journaled
-    samples: one past the highest segment already recorded."""
-    runs = [sample.get("run", 0) for sample in existing]
-    return (max(runs) + 1) if runs else 0
+        def loop() -> None:
+            while not self._stop.wait(interval):
+                self.sample()
+
+        self._thread = threading.Thread(
+            target=loop, name="repro-sampler", daemon=True
+        )
+        self._thread.start()
+
+    def stop(self) -> None:
+        if self._thread is not None:
+            self._stop.set()
+            self._thread.join()
+            self._thread = None
 
 
-def load_snapshots(journal, campaign_id: str) -> "list[dict]":
-    """The campaign's full journaled timeline, in recording order.
+# ----------------------------------------------------------------------
+# Readers.  Counters are cumulative per process, so every reader folds
+# per slot (and, through ``sample_rates`` / ``window_burns``, per run)
+# before it combines anything: no reader diffs two processes.
 
-    This is the crash-recovery path: a SIGKILLed process loses its ring,
-    but every journaled sample was its own committed transaction.
-    """
-    return journal.snapshots(campaign_id)
+def slot_of(sample: dict) -> "int | None":
+    """The process slot a sample came from.  Fleet samples journaled by
+    older builds carry ``replica`` instead of ``slot``; campaign and
+    standalone-server samples carry neither."""
+    return sample.get("slot", sample.get("replica"))
+
+
+def by_slot(samples: "list[dict]") -> "dict[int | None, list[dict]]":
+    """Samples grouped per process slot, each group in recording order."""
+    groups: dict = {}
+    for sample in samples:
+        groups.setdefault(slot_of(sample), []).append(sample)
+    return groups
 
 
 def rebuild_ring(
-    journal, campaign_id: str, maxlen: int = DEFAULT_RING_SIZE
+    journal,
+    campaign_id: str,
+    maxlen: int = DEFAULT_RING_SIZE,
+    slot: "int | None" = None,
 ) -> TimeSeriesRing:
-    """Reconstruct a ring (trailing window) from the journal alone."""
+    """Reconstruct one slot's ring (trailing window) from the journal
+    alone — the crash-recovery path: a SIGKILLed process loses its ring,
+    but every journaled sample was its own committed transaction."""
     ring = TimeSeriesRing(maxlen=maxlen)
-    for sample in load_snapshots(journal, campaign_id):
+    for sample in by_slot(journal.snapshots(campaign_id)).get(slot, []):
         ring.append(sample)
     return ring
+
+
+def fleet_rates(samples: "list[dict]") -> dict:
+    """``calls_per_s`` / ``done_per_s`` of a timeline: the sum over
+    slots of each slot's two newest samples' :func:`sample_rates`.
+    Empty when no slot has two newest samples in one run segment."""
+    rates = [
+        sample_rates(*group[-2:])
+        for group in by_slot(samples).values()
+        if len(group) >= 2
+    ]
+    rates = [rate for rate in rates if rate]
+    if not rates:
+        return {}
+    return {
+        key: sum(rate[key] for rate in rates)
+        for key in ("calls_per_s", "done_per_s")
+    }
 
 
 def render_timeline(samples: "list[dict]", limit: int = 12) -> str:

@@ -6,8 +6,10 @@ The serving stack, bottom-up::
     AdmissionController   bounded inflight + queue; sheds with 429 "saturated"
     TenantRateLimiter     per-X-Api-Key token buckets; 429 "rate-limited"
     HttpMetrics           repro_http_* series (requests, latency, shed, ...)
-    ServeSampler          SLO burn-rate evaluation + journaling of HTTP samples
-    AnnotationServer      the ThreadingHTTPServer tying the gates together
+    http_sample           the server's sample body; HTTP_SLOS its objectives
+    AnnotationServer      the ThreadingHTTPServer tying the gates together;
+                          one obs.timeseries.Sampler per server journals
+                          HTTP samples and alerts under its replica slot
     ServeStateStore       durable fleet-shared state (reports, tenants, replicas)
     ServeSupervisor       N SO_REUSEPORT replicas: restart, drain, roll
     loadgen               barrier-released concurrent load harness + report
@@ -36,7 +38,7 @@ from repro.serve.ratelimit import (
     TenantRateLimiter,
     TokenBucket,
 )
-from repro.serve.sampling import HTTP_SLOS, ServeSampler, http_sample
+from repro.serve.sampling import HTTP_SLOS, http_sample
 from repro.serve.state import ServeStateStore
 from repro.serve.service import (
     AnnotationService,
@@ -58,7 +60,6 @@ __all__ = [
     "SaturatedError",
     "ServeConfig",
     "ServeError",
-    "ServeSampler",
     "ServeStateStore",
     "ServeSupervisor",
     "TenantRateLimiter",

@@ -76,11 +76,13 @@ from repro.obs.metrics import (
     bind_threading_server,
     render_prometheus,
 )
+from repro.obs.slo import SLOEvaluator
+from repro.obs.timeseries import Sampler
 from repro.processlog import FLEET_SCOPE, REPLICA
 from repro.serve.admission import AdmissionController, SaturatedError
 from repro.serve.httpmetrics import HttpMetrics, normalize_endpoint
 from repro.serve.ratelimit import ANONYMOUS_TENANT, TenantRateLimiter
-from repro.serve.sampling import DEFAULT_CAMPAIGN_ID, ServeSampler
+from repro.serve.sampling import HTTP_CAMPAIGN_ID, HTTP_SLOS, http_sample
 from repro.serve.state import ServeStateStore
 from repro.serve.service import (
     AnnotationService,
@@ -108,9 +110,8 @@ class ServeConfig:
         journal_db: Path of a campaign journal.  Enables the
             ``/v1/campaigns/*`` endpoints and, together with
             ``sample_interval``, journals HTTP samples + SLO alerts
-            under ``campaign_id`` so ``repro-cli top`` / ``alerts``
-            cover the server.
-        campaign_id: Synthetic campaign id for journaled HTTP samples.
+            under :data:`HTTP_CAMPAIGN_ID` so ``repro-cli top`` /
+            ``alerts`` cover the server.
         sample_interval: Seconds between background SLO samples
             (0 disables the background thread; sampling can still be
             driven manually via ``server.sampler.sample()``).
@@ -126,7 +127,7 @@ class ServeConfig:
             registrations, memoized reports and tenant budgets durable
             and fleet-shared.
         replica: This process's replica index in a fleet (``None`` for a
-            standalone server); stamped on HTTP samples.
+            standalone server); the sampler's slot.
     """
 
     host: str = "127.0.0.1"
@@ -139,7 +140,6 @@ class ServeConfig:
     burst: float = 100.0
     default_deadline_s: "float | None" = None
     journal_db: "str | None" = None
-    campaign_id: str = DEFAULT_CAMPAIGN_ID
     sample_interval: float = 0.0
     log_stream: "object | None" = None
     retry_jitter: float = 0.5
@@ -211,12 +211,20 @@ class AnnotationServer:
         self.journal: "CampaignJournal | None" = None
         if self.config.journal_db is not None:
             self.journal = CampaignJournal(self.config.journal_db)
-        self.sampler = ServeSampler(
-            self.http_snapshot,
+            try:
+                self.journal.create(
+                    HTTP_CAMPAIGN_ID, self.service.seed, [],
+                    config={"kind": "http-server"},
+                )
+            except ValueError:
+                pass  # made by a sibling replica or an earlier start
+        self.sampler = Sampler(
+            lambda: http_sample(self.http_snapshot()),
             journal=self.journal,
-            campaign_id=self.config.campaign_id,
-            seed=self.service.seed,
-            replica=self.config.replica,
+            campaign_id=HTTP_CAMPAIGN_ID,
+            slot=self.config.replica,
+            evaluator=SLOEvaluator(HTTP_SLOS),
+            clock=clock,
         )
         # The fleet flight recorder: with durable state attached, every
         # completed engine span tree is committed to the shared process

@@ -54,6 +54,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from repro.serve.app import AnnotationServer, ServeConfig
+from repro.serve.sampling import HTTP_CAMPAIGN_ID
 from repro.serve.service import AnnotationService
 from repro.processlog import FLEET_SCOPE, REPLICA
 from repro.serve.state import ServeStateStore
@@ -327,7 +328,7 @@ class ServeSupervisor:
             aggregator = MetricsAggregator(
                 state=self.store,
                 journal_db=self.serve_config.journal_db,
-                campaign_id=self.serve_config.campaign_id,
+                campaign_id=HTTP_CAMPAIGN_ID,
                 wall_clock=self._wall,
             )
             self.metrics_server = MetricsServer(

@@ -1,35 +1,10 @@
-"""SLO enforcement on the serving path.
-
-The campaign stack already has declarative SLOs with multi-window
-burn-rate alerting (:mod:`repro.obs.slo`) and a journaled sample
-timeline (:mod:`repro.obs.timeseries`).  The serving layer joins that
-machinery instead of growing its own: :class:`ServeSampler` periodically
-folds the server's HTTP accounting into a sample of exactly the shape
-the evaluator consumes —
-
-* ``counters``: ``calls`` = requests served, ``ok`` = 2xx/3xx,
-  ``invalid`` = 4xx — which makes the availability SLO's error class
-  precisely the 5xx responses;
-* ``latency``: the end-to-end HTTP latency histogram (same fixed-bucket
-  shape as engine latency, so ``latency_over`` works unchanged);
-* ``http``: the full serving snapshot, which ``repro-cli top`` renders
-  as the HTTP panel.
-
-Samples and alert transitions are journaled under a synthetic campaign
-row (``config={"kind": "http-server"}``, no planned modules), so the
-whole longitudinal toolchain — ``repro-cli top``, ``repro-cli alerts``,
-the Prometheus SLO gauges — covers HTTP traffic with zero new storage
-or rendering code.
-"""
+"""What an annotation server samples and the SLOs it is held to: the
+source of its :class:`repro.obs.timeseries.Sampler` (the campaign's
+own), and the synthetic campaign row it journals under."""
 
 from __future__ import annotations
 
-import threading
-from typing import Callable
-
-from repro.engine.telemetry import default_clock
-from repro.obs.slo import SLO, SLOEvaluator
-from repro.obs.timeseries import TimeSeriesRing
+from repro.obs.slo import SLO
 
 #: The SLOs an annotation server is held to.  Availability counts 5xx
 #: as the error class (4xx are the *client's* errors — shed and
@@ -41,20 +16,27 @@ HTTP_SLOS: "tuple[SLO, ...]" = (
     SLO(name="http-latency-p95", kind="latency_p95", objective=500.0, budget=0.05),
 )
 
-#: Campaign id HTTP samples are journaled under unless overridden.
-DEFAULT_CAMPAIGN_ID = "http-server"
+#: The synthetic campaign row HTTP samples and alerts are journaled
+#: under (``config={"kind": "http-server"}``, no planned modules), so
+#: ``repro-cli top`` / ``alerts`` and the SLO gauges cover a server
+#: with no storage or rendering code of their own.
+HTTP_CAMPAIGN_ID = "http-server"
 
 
-def http_sample(http: dict, t_ms: float, run: int, seq: int) -> dict:
-    """Shape one HTTP snapshot as an SLO-evaluable time-series sample."""
+def http_sample(http: dict) -> dict:
+    """Shape one HTTP snapshot as an SLO-evaluable sample body.
+
+    ``counters``: ``calls`` = requests served, ``ok`` = 2xx/3xx,
+    ``invalid`` = 4xx — which makes the availability SLO's error class
+    precisely the 5xx responses; ``latency``: the end-to-end HTTP
+    histogram (the engine's bucket shape, so ``latency_over`` works
+    unchanged); ``http``: the full snapshot, ``repro-cli top``'s HTTP
+    panel.
+    """
     classes = http.get("status_classes", {})
-    total = http.get("requests_total", 0)
     return {
-        "seq": seq,
-        "run": run,
-        "t_ms": t_ms,
         "counters": {
-            "calls": total,
+            "calls": http.get("requests_total", 0),
             "ok": classes.get("2xx", 0) + classes.get("3xx", 0),
             "invalid": classes.get("4xx", 0),
             "malformed": 0,
@@ -79,101 +61,3 @@ def http_sample(http: dict, t_ms: float, run: int, seq: int) -> dict:
         },
         "http": http,
     }
-
-
-class ServeSampler:
-    """Periodic HTTP sampling + SLO evaluation + optional journaling.
-
-    Args:
-        snapshot: Zero-argument callable returning the server's merged
-            HTTP accounting (:meth:`AnnotationServer.http_snapshot`).
-        journal: Optional :class:`~repro.campaign.journal.CampaignJournal`;
-            when given, samples and alert transitions are journaled
-            under ``campaign_id`` (the row is created on first use).
-        campaign_id: The synthetic campaign id for journaled samples.
-        seed: Stamped on the synthetic campaign row.
-        evaluator: SLO evaluator (a fresh :data:`HTTP_SLOS` one otherwise).
-        ring: Sample ring (a fresh default-sized one otherwise).
-        clock: Monotonic clock, injectable for tests.
-        replica: Fleet replica index stamped on every sample (``None``
-            for a standalone server), so a shared journal's HTTP
-            timeline says which replica produced each sample.
-    """
-
-    def __init__(
-        self,
-        snapshot: Callable[[], dict],
-        journal=None,
-        campaign_id: str = DEFAULT_CAMPAIGN_ID,
-        seed: int = 2014,
-        evaluator: "SLOEvaluator | None" = None,
-        ring: "TimeSeriesRing | None" = None,
-        clock: Callable[[], float] = default_clock,
-        replica: "int | None" = None,
-    ) -> None:
-        self._snapshot = snapshot
-        self.journal = journal
-        self.campaign_id = campaign_id
-        self.replica = replica
-        self.evaluator = evaluator if evaluator is not None else SLOEvaluator(HTTP_SLOS)
-        self.ring = ring if ring is not None else TimeSeriesRing()
-        self._clock = clock
-        self._t0 = clock()
-        self._seq = 0
-        self._thread: "threading.Thread | None" = None
-        self._stop = threading.Event()
-        if journal is not None:
-            self._ensure_campaign(seed)
-
-    def _ensure_campaign(self, seed: int) -> None:
-        try:
-            self.journal.create(
-                self.campaign_id, seed, [], config={"kind": "http-server"}
-            )
-        except ValueError:
-            pass  # row already exists (e.g. a restarted server)
-
-    # ------------------------------------------------------------------
-    def sample(self) -> dict:
-        """Capture, ring, journal, and SLO-evaluate one sample."""
-        sample = http_sample(
-            self._snapshot(),
-            t_ms=(self._clock() - self._t0) * 1000.0,
-            run=0,
-            seq=self._seq,
-        )
-        if self.replica is not None:
-            sample["replica"] = self.replica
-        self._seq += 1
-        self.ring.append(sample)
-        if self.journal is not None:
-            self.journal.record_snapshot(self.campaign_id, sample["t_ms"], sample)
-        events = self.evaluator.evaluate(self.ring)
-        if self.journal is not None:
-            for event in events:
-                self.journal.record_alert(self.campaign_id, event)
-        return sample
-
-    # ------------------------------------------------------------------
-    def start(self, interval: float) -> None:
-        """Sample every ``interval`` seconds on a daemon thread."""
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        if self._thread is not None:
-            return
-        self._stop.clear()
-
-        def loop() -> None:
-            while not self._stop.wait(interval):
-                self.sample()
-
-        self._thread = threading.Thread(
-            target=loop, name="repro-serve-sampler", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        if self._thread is not None:
-            self._stop.set()
-            self._thread.join()
-            self._thread = None

@@ -27,7 +27,6 @@ from repro.engine.telemetry import merge_stats_snapshots
 from repro.obs.aggregate import MetricsAggregator
 from repro.obs.metrics import render_prometheus
 from repro.obs.timeseries import (
-    load_snapshots,
     rebuild_ring,
     render_timeline,
     sample_rates,
@@ -160,10 +159,12 @@ def _journal_samples(db, samples) -> CampaignJournal:
 
 def test_timeline_readers_ignore_legacy_keys(engines, tmp_path):
     modern = [
-        take_sample(
-            engine, {"n_planned": 4, "n_done": seq, "n_skipped": 0},
-            t_ms=100.0 * seq, run=0, seq=seq,
-        )
+        {
+            "seq": seq,
+            "run": 0,
+            "t_ms": 100.0 * seq,
+            **take_sample(engine, {"n_planned": 4, "n_done": seq, "n_skipped": 0}),
+        }
         for seq, engine in enumerate(engines + engines)
     ]
     legacy = [{**sample, "dropped_events": 3} for sample in modern]
@@ -172,7 +173,7 @@ def test_timeline_readers_ignore_legacy_keys(engines, tmp_path):
         journal = _journal_samples(tmp_path / f"{name}.db", samples)
         try:
             rings.append(rebuild_ring(journal, "c", maxlen=3))
-            timelines.append(render_timeline(load_snapshots(journal, "c")))
+            timelines.append(render_timeline(journal.snapshots("c")))
         finally:
             journal.close()
     legacy_ring, modern_ring = rings

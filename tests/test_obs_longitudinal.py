@@ -19,7 +19,6 @@ import pytest
 from repro.campaign import CampaignConfig, CampaignJournal, CampaignRunner
 from repro.cli import main
 from repro.obs.slo import alert_states, firing_alerts
-from repro.obs.timeseries import load_snapshots
 from repro.workflow.model import Step, Workflow
 from repro.workflow.monitoring import analyze_decay, render_decay_report
 
@@ -78,7 +77,7 @@ class TestFaultedCampaignAlerts:
 
     def test_snapshot_timeline_journaled(self, faulted_campaign):
         _db, journal, _runner, _result = faulted_campaign
-        snapshots = load_snapshots(journal, "faulted")
+        snapshots = journal.snapshots("faulted")
         assert len(snapshots) >= 2
         assert snapshots[-1]["progress"]["n_pending"] == 0
         # The baseline campaign, run without sampling, journaled nothing.

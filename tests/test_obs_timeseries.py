@@ -8,11 +8,10 @@ import pytest
 from repro.campaign import CampaignConfig, CampaignJournal, CampaignRunner
 from repro.engine import InvocationEngine
 from repro.obs.timeseries import (
-    CampaignSampler,
+    Sampler,
     TimeSeriesRing,
     counter_delta,
     latency_over,
-    load_snapshots,
     provider_deltas,
     rebuild_ring,
     render_timeline,
@@ -158,13 +157,12 @@ class TestDeltas:
 class TestTakeSample:
     def test_shape_and_progress_derivation(self):
         engine = InvocationEngine()
-        sample = take_sample(
-            engine,
-            {"n_planned": 10, "n_done": 3, "n_skipped": 1},
-            t_ms=12.5,
-            run=2,
-            seq=7,
-        )
+        sample = {
+            "seq": 7,
+            "run": 2,
+            "t_ms": 12.5,
+            **take_sample(engine, {"n_planned": 10, "n_done": 3, "n_skipped": 1}),
+        }
         assert sample["seq"] == 7 and sample["run"] == 2
         assert sample["t_ms"] == 12.5
         assert sample["progress"]["n_pending"] == 6
@@ -197,7 +195,7 @@ class TestCampaignSampler:
             ctx, catalog, pool, tmp_path / "j.sqlite"
         )
         try:
-            snapshots = load_snapshots(journal, "sampled")
+            snapshots = journal.snapshots("sampled")
             assert result.status == "complete"
             assert len(snapshots) >= 2  # initial zero-point + terminal
             assert snapshots == journal.snapshots("sampled")
@@ -217,9 +215,15 @@ class TestCampaignSampler:
         try:
             journal.create("c", 2014, ["m1"], {})
             engine = InvocationEngine()
-            first = CampaignSampler(engine, journal=journal, campaign_id="c")
+            first = Sampler(
+                lambda progress: take_sample(engine, progress),
+                journal=journal, campaign_id="c",
+            )
             first.sample({"n_planned": 1, "n_done": 0, "n_skipped": 0})
-            second = CampaignSampler(engine, journal=journal, campaign_id="c")
+            second = Sampler(
+                lambda progress: take_sample(engine, progress),
+                journal=journal, campaign_id="c",
+            )
             assert second.run == 1
             second.sample({"n_planned": 1, "n_done": 1, "n_skipped": 0})
             runs = [s["run"] for s in journal.snapshots("c")]
@@ -233,7 +237,10 @@ class TestCampaignSampler:
         try:
             journal.create("c", 2014, ["m1"], {})
             engine = InvocationEngine()
-            sampler = CampaignSampler(engine, journal=journal, campaign_id="c")
+            sampler = Sampler(
+                lambda progress: take_sample(engine, progress),
+                journal=journal, campaign_id="c",
+            )
             for _ in range(5):
                 sampler.sample({"n_planned": 1, "n_done": 0, "n_skipped": 0})
             ring = rebuild_ring(journal, "c", maxlen=3)
@@ -244,7 +251,7 @@ class TestCampaignSampler:
 
     def test_in_memory_sampler_needs_no_journal(self):
         engine = InvocationEngine()
-        sampler = CampaignSampler(engine)
+        sampler = Sampler(lambda progress: take_sample(engine, progress))
         sample = sampler.sample({"n_planned": 2, "n_done": 1, "n_skipped": 0})
         assert sample["progress"]["n_pending"] == 1
         assert len(sampler.ring) == 1

@@ -365,6 +365,58 @@ class TestCampaignEndpoints:
 
 
 # ----------------------------------------------------------------------
+# HTTP SLOs: 5xx burn the availability budget, 4xx do not
+# ----------------------------------------------------------------------
+class TestHttpSlo:
+    def _sampled_burst(self, monkeypatch, tmp_path, path, n=8):
+        """Sample, send ``n`` requests to ``path``, sample again; returns
+        the statuses, the live firing set, and the journaled events."""
+        service = AnnotationService()
+
+        def broken(module_id):
+            raise RuntimeError("injected service fault")
+
+        monkeypatch.setattr(service, "generate", broken)
+        config = ServeConfig(rate=None, journal_db=str(tmp_path / "slo.sqlite"))
+        with AnnotationServer(service, config) as server:
+            server.sampler.sample()
+            statuses = [
+                request(server, "POST", path, {"module_id": MODULE_A})[0]
+                for _ in range(n)
+            ]
+            server.sampler.sample()
+            firing = {
+                (alert.slo, alert.subject)
+                for alert in server.sampler.evaluator.firing()
+            }
+            events = server.journal.alerts("http-server")
+        return statuses, firing, events
+
+    def test_5xx_burst_fires_http_availability(self, monkeypatch, tmp_path):
+        statuses, firing, events = self._sampled_burst(
+            monkeypatch, tmp_path, "/v1/generate"
+        )
+        assert set(statuses) == {500}
+        assert ("http-availability", "campaign") in firing
+        journaled = [
+            event for event in events if event["slo"] == "http-availability"
+        ]
+        assert [event["state"] for event in journaled] == ["firing"]
+        # A standalone server has no slot, and its events carry none.
+        assert all("slot" not in event for event in events)
+
+    def test_4xx_burst_does_not_fire(self, monkeypatch, tmp_path):
+        statuses, firing, events = self._sampled_burst(
+            monkeypatch, tmp_path, "/v1/no-such-route"
+        )
+        assert set(statuses) == {404}
+        assert ("http-availability", "campaign") not in firing
+        assert not [
+            event for event in events if event["slo"] == "http-availability"
+        ]
+
+
+# ----------------------------------------------------------------------
 # Port-in-use regression: both server classes must refuse with a
 # ServeError naming the squatted port, not a bare OSError traceback.
 # ----------------------------------------------------------------------
