@@ -80,7 +80,10 @@ bench-obs:
 # tests (tokens and keys are hashed from their bytes), and the tests of
 # each layer a verify invocation crosses: the engine accounting's and
 # the cache's equivalence with their oracles, structural type lookup in
-# the wire decoder, and compare_behavior's pinned equality.
+# the wire decoder, compare_behavior's pinned equality, and the wire
+# layer's fast paths (the one-pass SOAP envelope scan, the direct JSON
+# scan, the compiled accession guards) against the formulas they
+# replaced.
 # The CI job then runs a downsized benchmark writing to a temp file
 # (the committed BENCH_match.json stays untouched).
 match-smoke:
@@ -91,7 +94,7 @@ match-smoke:
 		tests/test_match_sketch.py tests/test_values_canonical.py \
 		tests/test_wire_encoding.py tests/test_engine_telemetry.py \
 		tests/test_engine_cache_model.py tests/test_structural_lookup.py \
-		tests/test_matching_equality.py
+		tests/test_matching_equality.py tests/test_wire_fastpaths.py
 
 # Benchmark smoke (the CI match-smoke job): every perfbench workload for
 # one second untraced, then synth-match once traced, so a wrong output

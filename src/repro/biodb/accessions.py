@@ -11,7 +11,7 @@ to mint cross-referenced identifiers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 
@@ -29,10 +29,15 @@ class AccessionScheme:
     concept: str
     pattern: str
     mint: Callable[[int], str]
+    _regex: "re.Pattern[str]" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_regex", re.compile(self.pattern))
 
     def is_valid(self, accession: str) -> bool:
-        """True when ``accession`` is well-formed under this scheme."""
-        return bool(re.fullmatch(self.pattern, accession))
+        """True when ``accession`` is well-formed under this scheme
+        (``re.fullmatch(pattern, accession)``, compiled once)."""
+        return self._regex.fullmatch(accession) is not None
 
 
 def _digits(value: int, width: int) -> str:

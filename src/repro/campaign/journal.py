@@ -29,6 +29,7 @@ from repro.core.examples import Binding, DataExample
 from repro.core.generation import GenerationReport
 from repro.core.quarantine import QuarantinedExample
 from repro.modules.interfaces import value_from_wire, value_to_wire
+from repro.obs.timeseries import slot_of
 from repro.processlog import SCHEMA as _PROCESS_SCHEMA
 from repro.processlog import SHARD_WORKER, SUPERVISOR, ProcessLog
 from repro.values import TypedValue, value_wire_json
@@ -61,7 +62,9 @@ CREATE TABLE IF NOT EXISTS campaign_snapshots (
     snap_seq INTEGER PRIMARY KEY AUTOINCREMENT,
     campaign_id TEXT NOT NULL,
     t_ms REAL NOT NULL,
-    snapshot_json TEXT NOT NULL
+    snapshot_json TEXT NOT NULL,
+    slot INTEGER,
+    run INTEGER
 );
 CREATE INDEX IF NOT EXISTS campaign_snapshots_by_campaign
     ON campaign_snapshots (campaign_id);
@@ -115,19 +118,48 @@ def open_wal(
     return connection
 
 
-def _add_alert_slot(connection: sqlite3.Connection) -> None:
-    """Add ``campaign_alerts.slot`` to a journal from before alert
-    events carried one (NULL on every old event)."""
-    columns = connection.execute("PRAGMA table_info(campaign_alerts)")
-    if "slot" not in {row[1] for row in columns}:
+def _add_columns(connection: sqlite3.Connection, table: str, names) -> None:
+    """Add the nullable INTEGER columns ``names`` that ``table`` lacks
+    (a journal from before they existed)."""
+    columns = {row[1] for row in connection.execute(f"PRAGMA table_info({table})")}
+    for name in names:
+        if name in columns:
+            continue
         try:
             with connection:
-                connection.execute(
-                    "ALTER TABLE campaign_alerts ADD COLUMN slot INTEGER"
-                )
+                connection.execute(f"ALTER TABLE {table} ADD COLUMN {name} INTEGER")
         except sqlite3.OperationalError as error:  # a racing opener won
             if "duplicate column" not in str(error):
                 raise
+
+
+def _snapshot_keys(snapshot: dict) -> "tuple[int | None, int]":
+    """A sample's process slot and run, as the timeline readers read
+    them: :func:`~repro.obs.timeseries.slot_of`, and run 0 when the
+    sample carries none."""
+    return slot_of(snapshot), snapshot.get("run", 0)
+
+
+def _migrate(connection: sqlite3.Connection) -> None:
+    """Bring an older journal to this schema: alert events gain
+    ``slot`` (NULL on every old event), and samples gain their
+    ``slot`` and ``run`` columns, filled from the samples themselves
+    wherever a row lacks them (journaled by an older build), so every
+    row is found by the ``campaign_snapshots_by_run`` index."""
+    _add_columns(connection, "campaign_alerts", ("slot",))
+    _add_columns(connection, "campaign_snapshots", ("slot", "run"))
+    rows = connection.execute(
+        "SELECT snap_seq, snapshot_json FROM campaign_snapshots WHERE run IS NULL"
+    ).fetchall()
+    with connection:
+        connection.executemany(
+            "UPDATE campaign_snapshots SET slot = ?, run = ? WHERE snap_seq = ?",
+            [(*_snapshot_keys(json.loads(body)), seq) for seq, body in rows],
+        )
+        connection.execute(
+            "CREATE INDEX IF NOT EXISTS campaign_snapshots_by_run "
+            "ON campaign_snapshots (campaign_id, slot, run)"
+        )
 
 
 #: Per-status entry counts of one campaign.
@@ -395,7 +427,7 @@ class CampaignJournal:
         self.path = str(path)
         self._lock = threading.Lock()
         self._connection = open_wal(self.path, _SCHEMA, busy_timeout)
-        _add_alert_slot(self._connection)
+        _migrate(self._connection)
         #: Status rows, lifecycle events and spans of the processes.
         self.processes = ProcessLog(self._connection, self._lock)
 
@@ -574,9 +606,9 @@ class CampaignJournal:
         payload = json.dumps(snapshot, sort_keys=True)
         with self._lock, self._connection:
             self._connection.execute(
-                "INSERT INTO campaign_snapshots (campaign_id, t_ms, snapshot_json) "
-                "VALUES (?, ?, ?)",
-                (campaign_id, t_ms, payload),
+                "INSERT INTO campaign_snapshots "
+                "(campaign_id, t_ms, snapshot_json, slot, run) VALUES (?, ?, ?, ?, ?)",
+                (campaign_id, t_ms, payload, *_snapshot_keys(snapshot)),
             )
 
     def snapshots(self, campaign_id: str) -> "list[dict]":
@@ -593,6 +625,18 @@ class CampaignJournal:
                 (campaign_id,),
             ).fetchall()
         return [json.loads(row[0]) for row in rows]
+
+    def last_run(self, campaign_id: str, slot: "int | None" = None) -> "int | None":
+        """The highest ``run`` one process slot journaled for a campaign,
+        or ``None`` when it journaled no sample: one search of the
+        ``campaign_snapshots_by_run`` index, no sample decoded."""
+        with self._lock:
+            row = self._connection.execute(
+                "SELECT MAX(run) FROM campaign_snapshots "
+                "WHERE campaign_id = ? AND slot IS ?",
+                (campaign_id, slot),
+            ).fetchone()
+        return row[0]
 
     def snapshot_count(self, campaign_id: str) -> int:
         """Journaled samples of one campaign."""

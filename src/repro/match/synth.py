@@ -303,28 +303,40 @@ def _build_workflows(
     for module in modules:
         by_input_concept.setdefault(module.inputs[0].concept, []).append(module)
 
+    # The consumers a producer may link to depend only on its output's
+    # (structural, concept): found once per output type, in id order.
+    accepting_by_output: "dict[tuple, list[Module]]" = {}
+
+    def accepting_of(producer: Module) -> "list[Module]":
+        output = producer.outputs[0]
+        key = (output.structural, output.concept)
+        accepting = accepting_by_output.get(key)
+        if accepting is None:
+            # Consumers annotated at the produced leaf, or (relaxed
+            # members) at the subsuming parent — both link validly.
+            candidates = by_input_concept.get(output.concept, [])
+            candidates = candidates + by_input_concept.get(PARENT_CONCEPT, [])
+            accepting = accepting_by_output[key] = sorted(
+                (
+                    m
+                    for m in candidates
+                    if link_is_valid(
+                        ctx.ontology, producer, output.name, m, m.inputs[0].name
+                    )
+                ),
+                key=lambda m: m.module_id,
+            )
+        return accepting
+
     workflows = []
     for n in range(config.n_workflows):
         length = rng.randint(config.chain_min, config.chain_max)
         chain = [rng.choice(weighted)]
         while len(chain) < length:
-            producer = chain[-1]
-            out_concept = producer.outputs[0].concept
-            # Consumers annotated at the produced leaf, or (relaxed
-            # members) at the subsuming parent — both link validly.
-            accepting = list(by_input_concept.get(out_concept, []))
-            accepting += by_input_concept.get(PARENT_CONCEPT, [])
-            accepting = [
-                m
-                for m in accepting
-                if link_is_valid(
-                    ctx.ontology, producer, producer.outputs[0].name,
-                    m, m.inputs[0].name,
-                )
-            ]
+            accepting = accepting_of(chain[-1])
             if not accepting:
                 break
-            chain.append(rng.choice(sorted(accepting, key=lambda m: m.module_id)))
+            chain.append(rng.choice(accepting))
         steps = tuple(
             Step(step_id=f"s{i}", module_id=module.module_id)
             for i, module in enumerate(chain)

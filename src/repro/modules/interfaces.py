@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from xml.etree import ElementTree
+from xml.parsers import expat
 
 from repro.modules.errors import (
     InvalidInputError,
@@ -68,17 +69,33 @@ def bindings_to_wire(bindings: dict[str, TypedValue]) -> str:
     return bindings_wire_json(bindings)
 
 
+#: The C scanner ``json.loads`` ends in, called without the two regex
+#: whitespace scans around it: a wire document is printed without
+#: padding.  Anything it does not consume whole goes to ``json.loads``.
+_scan_once = json.JSONDecoder().scan_once
+
+
 def bindings_from_wire(document: str) -> dict[str, TypedValue]:
     """Parse a JSON binding document back into typed values.
+
+    Equal to decoding with ``json.loads``: a document the scanner does
+    not consume whole (padding, BOM, trailing data, bytes, malformed
+    JSON) is decoded by ``json.loads`` itself, so its result or its
+    error text is the same.
 
     Raises:
         TransportError: When the document is not JSON, is not a JSON
             object, or holds a malformed value.
     """
     try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise TransportError(f"malformed wire document: {exc}") from exc
+        data, end = _scan_once(document, 0)
+    except (StopIteration, ValueError, TypeError):
+        end = -1
+    if end != len(document):
+        try:
+            data = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise TransportError(f"malformed wire document: {exc}") from exc
     if not isinstance(data, dict):
         raise TransportError(
             f"malformed wire document: {type(data).__name__}, not an object"
@@ -107,11 +124,94 @@ def soap_envelope(tag: str, text: str) -> str:
     return f"{_ENVELOPE_OPEN}<{tag}>{text}</{tag}>{_ENVELOPE_CLOSE}"
 
 
+#: ``{ns}Body`` as expat names it when namespaces are split on ``}``.
+_EXPAT_BODY = f"{ENVELOPE_NS}}}Body"
+
+
+class _Doctype(Exception):
+    """A document type declaration: ElementTree's parser treats some
+    entity references under one differently from plain expat."""
+
+
+class _OperationScan:
+    """The handlers of one expat pass in :func:`soap_operation`, and
+    their state."""
+
+    __slots__ = ("depth", "in_body", "tag", "text", "collecting")
+
+    def __init__(self) -> None:
+        self.depth = 0
+        self.in_body = False
+        self.tag: "str | None" = None
+        self.text: "list[str]" = []
+        self.collecting = False
+
+    def start(self, name: str, attributes) -> None:
+        self.collecting = False  # a child ends its parent's text
+        depth = self.depth = self.depth + 1
+        if depth == 2:
+            self.in_body = name == _EXPAT_BODY
+        elif depth == 3 and self.in_body and self.tag is None:
+            self.tag = "{" + name if "}" in name else name
+            self.collecting = True
+
+    def end(self, name: str) -> None:
+        self.collecting = False
+        self.depth -= 1
+
+    def data(self, text: str) -> None:
+        if self.collecting:
+            self.text.append(text)
+
+    @staticmethod
+    def doctype(*args) -> None:
+        raise _Doctype
+
+
+def _reference_operation(document: str) -> "tuple[str, str | None] | None":
+    """:func:`soap_operation` by ElementTree: a tree, then a path query."""
+    operation = ElementTree.fromstring(document).find(f"{{{ENVELOPE_NS}}}Body/")
+    return None if operation is None else (operation.tag, operation.text)
+
+
+def soap_operation(document: str) -> "tuple[str, str | None] | None":
+    """The tag and text of the operation a SOAP envelope carries.
+
+    One expat pass, equal to ``ElementTree.fromstring(document)
+    .find("{ns}Body/")``: the first child element of the first
+    root-level ``Body`` that has one (the root's own tag is not
+    checked), its tag in ElementTree's ``{ns}local`` form and its text
+    the character data before its first child, or ``None`` when there
+    is none.  Returns ``None`` when no ``Body`` has a child.  A document
+    the pass rejects — malformed, or carrying a document type
+    declaration — is parsed by ElementTree, so its result or its
+    ``ParseError`` text is ElementTree's own.
+
+    Raises:
+        ElementTree.ParseError: The document is not well-formed XML.
+    """
+    scan = _OperationScan()
+    parser = expat.ParserCreate(None, "}")
+    parser.buffer_text = True
+    parser.StartElementHandler = scan.start
+    parser.EndElementHandler = scan.end
+    parser.CharacterDataHandler = scan.data
+    parser.StartDoctypeDeclHandler = scan.doctype
+    try:
+        parser.Parse(document, True)
+    except (expat.ExpatError, _Doctype):
+        return _reference_operation(document)
+    if scan.tag is None:
+        return None
+    return scan.tag, "".join(scan.text) if scan.text else None
+
+
 class SoapEndpoint:
     """A simulated SOAP service hosting one module operation.
 
     Envelopes are printed by :func:`soap_envelope` and parsed by a real
-    XML parser (``ElementTree.fromstring``) on both sides.
+    XML parser (expat, in one pass: :func:`soap_operation`) on both
+    sides.
     """
 
     def __init__(self, module: Module, ctx: ModuleContext) -> None:
@@ -130,13 +230,12 @@ class SoapEndpoint:
                 faults for unavailable modules.
         """
         try:
-            envelope = ElementTree.fromstring(request)
+            operation = soap_operation(request)
         except ElementTree.ParseError as exc:
             raise SoapFault("Client", f"malformed envelope: {exc}") from exc
-        operation = envelope.find(f"{{{ENVELOPE_NS}}}Body/")
-        if operation is None or operation.tag != self.module.module_id:
+        if operation is None or operation[0] != self.module.module_id:
             raise SoapFault("Client", "unknown operation")
-        bindings = bindings_from_wire(operation.text or "{}")
+        bindings = bindings_from_wire(operation[1] or "{}")
         try:
             outputs = self.module.invoke(self.ctx, bindings)
         except ModuleUnavailableError as exc:
@@ -149,12 +248,10 @@ class SoapEndpoint:
 
     def call(self, bindings: dict[str, TypedValue]) -> dict[str, TypedValue]:
         """Client stub: request/response round trip through the envelope."""
-        response = self.handle(self.build_request(bindings))
-        envelope = ElementTree.fromstring(response)
-        result = envelope.find(f"{{{ENVELOPE_NS}}}Body/")
+        result = soap_operation(self.handle(self.build_request(bindings)))
         if result is None:
             raise SoapFault("Server", "empty response body")
-        return bindings_from_wire(result.text or "{}")
+        return bindings_from_wire(result[1] or "{}")
 
 
 class RestEndpoint:

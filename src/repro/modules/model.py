@@ -27,6 +27,10 @@ from repro.ontology.model import Ontology
 from repro.values import StructuralType, TypedValue
 
 
+#: A binding absent from the map (``None`` is a bound optional input).
+_UNBOUND = object()
+
+
 class Category(enum.Enum):
     """The five kinds of data manipulation of Table 3."""
 
@@ -151,9 +155,12 @@ class Module:
             MissingParameterError: A mandatory input is unbound.
             StructuralMismatchError: A value's structure is incompatible.
         """
+        known = 0  # bound names that are inputs (input names are unique)
         for parameter in self.inputs:
-            value = bindings.get(parameter.name)
-            if value is None:
+            value = bindings.get(parameter.name, _UNBOUND)
+            if value is not _UNBOUND:
+                known += 1
+            if value is None or value is _UNBOUND:
                 if not parameter.optional:
                     raise MissingParameterError(
                         f"{self.module_id}: input {parameter.name!r} is mandatory"
@@ -164,8 +171,8 @@ class Module:
                     f"{self.module_id}: input {parameter.name!r} requires "
                     f"{parameter.structural}, got {value.structural}"
                 )
-        unknown = set(bindings) - {p.name for p in self.inputs}
-        if unknown:
+        if known != len(bindings):
+            unknown = set(bindings) - {p.name for p in self.inputs}
             raise StructuralMismatchError(
                 f"{self.module_id}: unknown inputs {sorted(unknown)}"
             )

@@ -222,7 +222,6 @@ def merge_http_snapshots(snapshots: "list[dict]") -> dict:
         "replicas_reporting": 0,
     }
     requests: "dict[tuple, int]" = {}
-    histogram = LatencyHistogram()
     for snapshot in snapshots:
         if not snapshot:
             continue
@@ -234,9 +233,6 @@ def merge_http_snapshots(snapshots: "list[dict]") -> dict:
         for bucket, count in snapshot.get("status_classes", {}).items():
             if bucket in merged["status_classes"]:
                 merged["status_classes"][bucket] += count
-        latency = snapshot.get("latency")
-        if latency and latency.get("count"):
-            histogram.absorb(LatencyHistogram.from_snapshot(latency))
         for key in (
             "shed_total", "rate_limited_total", "deadline_exceeded_total",
             "inflight", "max_inflight", "queue_depth", "max_queue",
@@ -264,7 +260,21 @@ def merge_http_snapshots(snapshots: "list[dict]") -> dict:
         }
         for (endpoint, method, status), count in sorted(requests.items())
     ]
-    merged["latency"] = {
+    merged["latency"] = merge_latency(
+        snapshot.get("latency") for snapshot in snapshots if snapshot
+    )
+    return merged
+
+
+def merge_latency(sections) -> dict:
+    """Fold snapshot ``latency`` sections into one: their histograms
+    absorbed bucket-wise (every source shares the engine's fixed
+    bounds), the quantiles read from the merged histogram."""
+    histogram = LatencyHistogram()
+    for latency in sections:
+        if latency and latency.get("count"):
+            histogram.absorb(LatencyHistogram.from_snapshot(latency))
+    return {
         "count": histogram.count,
         "sum_ms": histogram.sum_ms,
         "mean_ms": histogram.mean_ms,
@@ -276,7 +286,6 @@ def merge_http_snapshots(snapshots: "list[dict]") -> dict:
             list(pair) for pair in histogram.cumulative_buckets()
         ],
     }
-    return merged
 
 
 # ----------------------------------------------------------------------

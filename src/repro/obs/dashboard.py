@@ -27,8 +27,9 @@ import shutil
 import sys
 import time
 
+from repro.obs.aggregate import merge_http_snapshots, merge_latency
 from repro.obs.slo import FIRING, alert_states, alert_subject
-from repro.obs.timeseries import fleet_rates
+from repro.obs.timeseries import by_slot, fleet_rates
 from repro.processlog import FLEET_SCOPE, REPLICA
 
 #: Frame width the progress bar is fitted to when the terminal size
@@ -96,6 +97,35 @@ def _fleet_summary(label: str, rows: "list[dict]") -> str:
     return summary
 
 
+def fold_newest(samples: "list[dict]") -> "dict | None":
+    """The timeline's current state: the newest sample of each process
+    slot, folded into one.
+
+    Counters are cumulative per process, so a fleet's current totals
+    are the sum of each replica's newest counters: they are summed, the
+    latency histograms merged and the ``http`` sections folded by
+    :func:`~repro.obs.aggregate.merge_http_snapshots`.  Every other
+    section is the newest sample's.  A timeline of one slot (a
+    campaign, a standalone server) folds to its newest sample as it is.
+    """
+    if not samples:
+        return None
+    newest = [group[-1] for group in by_slot(samples).values()]
+    if len(newest) == 1:
+        return newest[0]
+    counters: dict = {}
+    for sample in newest:
+        for key, value in sample.get("counters", {}).items():
+            counters[key] = counters.get(key, 0) + value
+    folded = dict(samples[-1])
+    folded["counters"] = counters
+    folded["latency"] = merge_latency(sample.get("latency") for sample in newest)
+    https = [sample.get("http") for sample in newest]
+    if any(https):
+        folded["http"] = merge_http_snapshots(https)
+    return folded
+
+
 def render_dashboard(
     meta,
     progress: dict,
@@ -112,7 +142,9 @@ def render_dashboard(
         progress: ``{"n_done", "n_skipped"}`` counts.
         samples: Journaled snapshot timeline (oldest first); a fleet's
             replicas interleave theirs, so the rate line sums per-slot
-            rates (:func:`~repro.obs.timeseries.fleet_rates`).
+            rates (:func:`~repro.obs.timeseries.fleet_rates`) and the
+            calls, latency and HTTP panels fold each slot's newest
+            sample (:func:`fold_newest`).
         alert_events: Journaled alert history (recording order).
         width: Total frame width.
         workers: Per-shard worker rows of a sharded campaign
@@ -161,7 +193,7 @@ def render_dashboard(
                 f"reqs {row['requests_total']:<6} "
                 f"hb {row['heartbeat_age']:.1f}s"
             )
-    last = samples[-1] if samples else None
+    last = fold_newest(samples)
     if last is None:
         lines.append("  samples    none journaled yet")
     else:

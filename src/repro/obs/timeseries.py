@@ -241,9 +241,8 @@ class Sampler:
         # straddle the boundary.
         self.run = 0
         if self.journal is not None:
-            journaled = by_slot(self.journal.snapshots(campaign_id)).get(slot, [])
-            runs = [sample.get("run", 0) for sample in journaled]
-            self.run = max(runs, default=-1) + 1
+            last = self.journal.last_run(campaign_id, slot)
+            self.run = 0 if last is None else last + 1
 
     def elapsed_ms(self) -> float:
         return (self._clock() - self._t0) * 1000.0

@@ -89,6 +89,12 @@ _AMBIENT_ATTRIBUTES: "contextvars.ContextVar[tuple[tuple[str, object], ...]]" = 
     contextvars.ContextVar("repro_ambient_span_attributes", default=())
 )
 
+#: Set when the process first enters an ambient scope; until then a
+#: root span skips the context-variable read.  It saves only that read:
+#: before any scope is entered the variable holds its empty default in
+#: every context, so no root span's attributes depend on the flag.
+_ambient_in_use = False
+
 
 @contextmanager
 def ambient_span_attributes(**attributes):
@@ -100,8 +106,11 @@ def ambient_span_attributes(**attributes):
     context variable keeps the scope invisible to unrelated threads —
     exactly what a concurrent HTTP server needs, where many requests
     drive one shared engine at once.  Cost when unused: one context-var
-    read per traced invocation, nothing at all on untraced engines.
+    read per traced invocation, nothing at all on untraced engines or
+    before the process first enters a scope.
     """
+    global _ambient_in_use
+    _ambient_in_use = True
     token = _AMBIENT_ATTRIBUTES.set(
         _AMBIENT_ATTRIBUTES.get() + tuple(attributes.items())
     )
@@ -247,6 +256,24 @@ def _unpack(packed: tuple, origin: float) -> Span:
     return span
 
 
+class _ThreadState:
+    """One thread's recording state: its flat list of completed spans
+    and the attribute dict of its open root span, if any."""
+
+    __slots__ = ("pending", "root_attrs")
+
+    def __init__(self) -> None:
+        self.pending: "list[tuple]" = []
+        self.root_attrs: "dict | None" = None
+
+
+class _Local(threading.local):
+    """Per-thread :class:`_ThreadState`, made on a thread's first use."""
+
+    def __init__(self) -> None:
+        self.state = _ThreadState()
+
+
 class _Fork:
     """Hand-off point for spans recorded on a watchdog worker thread.
 
@@ -309,28 +336,27 @@ class Tracer:
         self._traces: "deque[tuple]" = deque()
         self._trim_at = max_traces + 1 + max_traces // 4
         self._lock = threading.Lock()
-        self._local = threading.local()
+        self._local = _Local()
         self._origin = clock()
 
     # ------------------------------------------------------------------
     # The hot path: open/close for layer spans, the *_root variants for
-    # the engine's enclosing span.  A token is ``(mark, start)``: the
-    # pending-list length at open time plus the clock reading; a root's
+    # the engine's enclosing span.  A token is ``(state, mark, start)``:
+    # the opening thread's state (a span closes on the thread that
+    # opened it, so closing needs no thread-local lookup), the
+    # pending-list length at open time and the clock reading; a root's
     # token also carries its attribute dict.
     # ------------------------------------------------------------------
-    def open(self) -> "tuple[int, float]":
+    def open(self) -> "tuple[_ThreadState, int, float]":
         """Open a layer span on this thread.  Lock-free."""
-        local = self._local
-        pending = getattr(local, "pending", None)
-        if pending is None:
-            pending = local.pending = []
-        return len(pending), self._clock()
+        state = self._local.state
+        return state, len(state.pending), self._clock()
 
     def close(
         self,
         name: str,
         module_id: str,
-        token: "tuple[int, float]",
+        token: "tuple[_ThreadState, int, float]",
         outcome: str = "ok",
         detail: str = "",
     ) -> None:
@@ -338,8 +364,8 @@ class Tracer:
         mark completed inside this span and becomes its children.
         Lock-free."""
         end = self._clock()
-        mark, start = token
-        pending = self._local.pending
+        state, mark, start = token
+        pending = state.pending
         if len(pending) > mark:
             children = tuple(pending[mark:])
             del pending[mark:]
@@ -347,28 +373,22 @@ class Tracer:
             children = ()
         pending.append((name, module_id, start, end, outcome, detail, (), children))
 
-    def open_root(self, attributes: dict) -> "tuple[int, float, dict]":
+    def open_root(self, attributes: dict) -> "tuple[_ThreadState, int, float, dict]":
         """Open the engine's enclosing span.  ``attributes`` is the
         live correlation dict — the engine annotates it during the call
         (cache disposition, retry count) and :meth:`close_root` seals
         it into the exported trace."""
-        local = self._local
-        try:
-            mark = len(local.pending)
-        except AttributeError:
-            local.pending = []
-            mark = 0
-        ambient = _AMBIENT_ATTRIBUTES.get()
-        if ambient:
-            for key, value in ambient:
+        state = self._local.state
+        if _ambient_in_use:
+            for key, value in _AMBIENT_ATTRIBUTES.get():
                 attributes.setdefault(key, value)
-        local.root_attrs = attributes
-        return mark, self._clock(), attributes
+        state.root_attrs = attributes
+        return state, len(state.pending), self._clock(), attributes
 
     def close_root(
         self,
         module_id: str,
-        token: "tuple[int, float, dict]",
+        token: "tuple[_ThreadState, int, float, dict]",
         outcome: str = "ok",
         detail: str = "",
     ) -> None:
@@ -377,10 +397,9 @@ class Tracer:
         attribute dict is stored as it is: nothing writes to it once
         this thread's ``root_attrs`` no longer points at it."""
         end = self._clock()
-        mark, start, attributes = token
-        local = self._local
-        local.root_attrs = None
-        pending = local.pending
+        state, mark, start, attributes = token
+        state.root_attrs = None
+        pending = state.pending
         if len(pending) > mark:
             children = tuple(pending[mark:])
             del pending[mark:]
@@ -419,14 +438,14 @@ class Tracer:
 
     def annotate_root(self, key: str, value) -> None:
         """Set an attribute on this thread's active root span, if any."""
-        attrs = getattr(self._local, "root_attrs", None)
+        attrs = self._local.state.root_attrs
         if attrs is not None:
             attrs[key] = value
 
     def incr_root(self, key: str, amount: int = 1) -> None:
         """Increment a numeric attribute on this thread's active root
         span, if any (used for retry counting)."""
-        attrs = getattr(self._local, "root_attrs", None)
+        attrs = self._local.state.root_attrs
         if attrs is not None:
             attrs[key] = attrs.get(key, 0) + amount
 
@@ -442,15 +461,15 @@ class Tracer:
         """Start recording on a watchdog worker thread.  The worker
         gets a fresh pending list — its spans belong to the fork, not
         to whatever a reused thread recorded before."""
-        self._local.pending = []
+        self._local.state.pending = []
 
     def unseed(self, fork: _Fork) -> None:
         """Deposit this worker thread's completed spans into the fork.
         If the caller already abandoned the call, the spans are late:
         dropped and counted, never attached to the exported trace."""
-        local = self._local
-        pending = local.pending
-        local.pending = []
+        state = self._local.state
+        pending = state.pending
+        state.pending = []
         if not pending:
             return
         with self._lock:
@@ -467,7 +486,7 @@ class Tracer:
             adopted = fork.adopted
             fork.adopted = ()
         if adopted:
-            self._local.pending.extend(adopted)
+            self._local.state.pending.extend(adopted)
 
     def abandon(self, fork: _Fork) -> None:
         """Close the fork without claiming: the budget elapsed and the

@@ -147,7 +147,7 @@ def compatible(provided: StructuralType, required: StructuralType) -> bool:
     * everything else is incompatible (a FASTA parameter does not accept a
       GenBank record, an Integer does not accept a Float, ...).
     """
-    if provided == required:
+    if provided is required or provided == required:
         return True
     if required == STRING and provided.is_textual:
         return True

@@ -100,6 +100,7 @@ class RepositoryBuilder:
         self.enactor = Enactor(ctx, self.by_id, pool)
         self._rng = random.Random(self.config.seed)
         self._counter = 0
+        self._consumers: "dict[tuple, list[tuple[Module, str]]]" = {}
         self._orphan_ids = [
             m.module_id for m in self.decayed if m.module_id.startswith("old.legacy_stat_")
         ] + ["old.get_homologous", "old.search_protein_top3", "old.identify_report",
@@ -145,14 +146,8 @@ class RepositoryBuilder:
         links: list[DataLink] = []
         current = first
         for extra in range(self._rng.randint(0, max_extra)):
-            candidates = []
             output = current.outputs[0]
-            for module in self.available:
-                for parameter in module.inputs:
-                    if link_is_valid(self.ctx.ontology, current, output.name, module,
-                                     parameter.name):
-                        candidates.append((module, parameter.name))
-                        break
+            candidates = self._consumers_of(current)
             if not candidates:
                 break
             module, input_name = self._rng.choice(candidates)
@@ -163,14 +158,34 @@ class RepositoryBuilder:
         identifier = self._next_id("wf")
         return Workflow(identifier, f"workflow {identifier}", tuple(steps), tuple(links))
 
+    def _consumers_of(self, producer: Module) -> "list[tuple[Module, str]]":
+        """Every ``(module, input name)`` the producer's first output may
+        feed, in :attr:`available` order, each module at its first
+        accepting input.  Found once per output (structural, concept):
+        the only part of the producer a link check reads."""
+        output = producer.outputs[0]
+        key = (output.structural, output.concept)
+        consumers = self._consumers.get(key)
+        if consumers is None:
+            consumers = self._consumers[key] = []
+            for module in self.available:
+                for parameter in module.inputs:
+                    if link_is_valid(self.ctx.ontology, producer, output.name, module,
+                                     parameter.name):
+                        consumers.append((module, parameter.name))
+                        break
+        return consumers
+
     def _add_healthy(self, repository: Repository, count: int) -> None:
         attempts = 0
-        while sum(1 for c in repository.category.values() if c == "healthy") < count:
+        healthy = sum(1 for c in repository.category.values() if c == "healthy")
+        while healthy < count:
             attempts += 1
             if attempts > count * 20:
                 raise RuntimeError("cannot build enough healthy workflows")
             first = self._rng.choice(self.available)
-            self._emit(repository, self._random_chain(first), "healthy")
+            if self._emit(repository, self._random_chain(first), "healthy"):
+                healthy += 1
 
     def _add_twin_workflows(
         self, repository: Repository, count: int, category: str, with_orphan: bool

@@ -311,3 +311,127 @@ def test_legacy_slotless_samples_and_alerts_read(tmp_path):
         assert "slot" not in restarted.sample()
     finally:
         journal.close()
+
+
+# ----------------------------------------------------------------------
+# The panels of `repro-cli top` fold each slot's newest sample.
+
+def test_top_panels_sum_each_slots_newest_counters(journal):
+    clock = Clock()
+    replicas = [Replica(), Replica()]
+    samplers = [_sampler(journal, slot, replicas[slot], clock) for slot in (0, 1)]
+    replicas[0].serve(300, 0)
+    samplers[0].sample()
+    clock.now += 1.0
+    replicas[1].serve(30, 15)
+    samplers[1].sample()
+    frame = _frame(journal)
+    assert "calls      330 total, 315 ok" in frame
+    assert "330 requests (315 2xx, 0 4xx, 15 5xx)" in frame
+    assert "over 330 calls" in frame
+    # One slot alone reads its newest sample as it is.
+    samplers[1].sample()
+    alone = Dashboard(journal, HTTP_CAMPAIGN_ID, stream=io.StringIO())
+    assert "330 requests" in alone.frame()
+
+
+def test_fold_of_one_slot_is_its_newest_sample(journal, fleet):
+    from repro.obs.dashboard import fold_newest
+
+    samples = _slot_samples(journal.snapshots(HTTP_CAMPAIGN_ID), 1)
+    assert fold_newest(samples) is samples[-1]
+    assert fold_newest([]) is None
+
+
+# ----------------------------------------------------------------------
+# A sampler finds its slot's next run without reading the timeline.
+
+def _decoded_next_run(journal, slot) -> int:
+    """The rule applied by decoding every journaled sample."""
+    from repro.obs.timeseries import by_slot
+
+    journaled = by_slot(journal.snapshots(HTTP_CAMPAIGN_ID)).get(slot, [])
+    return max((sample.get("run", 0) for sample in journaled), default=-1) + 1
+
+
+def _mixed_timeline(journal) -> None:
+    """Every shape a timeline holds: slot-keyed samples of two runs,
+    older replica-keyed fleet samples, slotless and run-less samples,
+    and another campaign's samples that must not count."""
+    shapes = [
+        {"slot": 0, "run": 0}, {"slot": 0, "run": 2}, {"slot": 0, "run": 1},
+        {"slot": 1, "run": 0},
+        {"replica": 1, "run": 4}, {"replica": 3, "run": 0},
+        {"run": 5}, {},
+        {"slot": 2, "p95_ms": float("nan")},  # not strict JSON: NaN
+    ]
+    for index, shape in enumerate(shapes):
+        journal.record_snapshot(HTTP_CAMPAIGN_ID, float(index), {"seq": index, **shape})
+    journal.record_snapshot("other", 0.0, {"slot": 0, "run": 9})
+    journal.record_snapshot("other", 0.0, {"run": 9})
+
+
+def test_next_run_agrees_with_decoding_the_timeline(journal):
+    _mixed_timeline(journal)
+    expected = {slot: _decoded_next_run(journal, slot) for slot in (None, 0, 1, 2, 3, 4)}
+    assert expected == {None: 6, 0: 3, 1: 5, 2: 1, 3: 1, 4: 0}
+    for slot, run in expected.items():
+        assert _sampler(journal, slot, Replica(), Clock()).run == run
+
+
+def test_sampler_on_a_large_journal_does_not_decode_the_timeline(journal, monkeypatch):
+    import json
+
+    _mixed_timeline(journal)
+    replica = Replica()
+    for seq in range(2000):
+        replica.serve(1, 0)
+        sample = {"seq": seq, "run": seq // 500, "t_ms": float(seq), "slot": seq % 2,
+                  **http_sample(replica.snapshot())}
+        journal.record_snapshot(HTTP_CAMPAIGN_ID, sample["t_ms"], sample)
+    expected = {slot: _decoded_next_run(journal, slot) for slot in (None, 0, 1, 2)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the timeline was decoded")
+
+    monkeypatch.setattr(journal, "snapshots", refuse)
+    monkeypatch.setattr(json, "loads", refuse)
+    for slot, run in expected.items():
+        assert _sampler(journal, slot, Replica(), Clock()).run == run
+    assert (expected[0], expected[1]) == (4, 5)  # slot 1 also has replica-keyed run 4
+
+
+def test_journal_from_before_the_sample_columns_gains_them(tmp_path):
+    import json
+
+    db = tmp_path / "old.sqlite"
+    connection = sqlite3.connect(db)
+    connection.executescript(
+        """
+        CREATE TABLE campaign_snapshots (
+            snap_seq INTEGER PRIMARY KEY AUTOINCREMENT,
+            campaign_id TEXT NOT NULL,
+            t_ms REAL NOT NULL,
+            snapshot_json TEXT NOT NULL
+        );
+        """
+    )
+    old_samples = [
+        {"replica": 1, "run": 0}, {"replica": 1, "run": 3}, {"slot": 0, "run": 2},
+        {"run": 1, "max_ms": float("inf")}, {},
+    ]
+    connection.executemany(
+        "INSERT INTO campaign_snapshots (campaign_id, t_ms, snapshot_json) VALUES (?, 0, ?)",
+        [(HTTP_CAMPAIGN_ID, json.dumps(sample)) for sample in old_samples],
+    )
+    connection.commit()
+    connection.close()
+    journal = CampaignJournal(db)
+    try:
+        expected = {slot: _decoded_next_run(journal, slot) for slot in (None, 0, 1, 2)}
+        assert expected == {None: 2, 0: 3, 1: 4, 2: 0}
+        for slot, run in expected.items():
+            assert _sampler(journal, slot, Replica(), Clock()).run == run
+        assert journal.snapshots(HTTP_CAMPAIGN_ID)[:5] == old_samples
+    finally:
+        journal.close()
