@@ -151,7 +151,7 @@ def measure_assembly(tmp: Path) -> dict:
         store.close()
 
     started = time.perf_counter()
-    spans = collect_fleet_spans(state_db=str(tmp / "fleet.db"))
+    spans = collect_fleet_spans(str(tmp / "fleet.db"))
     mine = spans_for_trace(trace_id, spans)
     rendered = render_fleet_trace(trace_id, mine, slowest=10)
     elapsed = time.perf_counter() - started

@@ -85,7 +85,6 @@ def phase_saturation(module_ids) -> dict:
         max_inflight=2,
         max_queue=8,
         queue_timeout=0.05,
-        retry_after=0.25,
         rate=None,
     )
     with AnnotationServer(service, config) as server:
@@ -121,7 +120,7 @@ def phase_fleet(module_ids) -> dict:
         max_queue=4096,
         queue_timeout=30.0,
         rate=None,
-        state_db=db,
+        db=db,
     )
     fleet = FleetConfig(replicas=2, heartbeat_interval=0.2)
     supervisor = ServeSupervisor(

@@ -91,20 +91,13 @@ CREATE TABLE IF NOT EXISTS match_signatures (
 
 
 def open_wal(
-    path: str,
-    schema: str,
-    busy_timeout: float = 10.0,
-    isolation_level: "str | None" = "",
+    path: str, schema: str, busy_timeout: float = 10.0
 ) -> sqlite3.Connection:
     """Open a SQLite file several processes write and apply ``schema``
-    (the one opener of journals and the serving store).
-    ``isolation_level`` is :func:`sqlite3.connect`'s: ``""`` or ``None``
-    (autocommit).  Callers serialize access across threads."""
+    (the one opener of journals, and through them of the serving
+    store).  Callers serialize access across threads."""
     connection = sqlite3.connect(
-        path,
-        timeout=busy_timeout,
-        check_same_thread=False,
-        isolation_level=isolation_level,
+        path, timeout=busy_timeout, check_same_thread=False
     )
     with connection:
         connection.execute(f"PRAGMA busy_timeout = {int(busy_timeout * 1000)}")

@@ -472,11 +472,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             return 2
         from repro.obs.aggregate import MetricsAggregator
 
-        exporter = MetricsAggregator(
-            state_db=args.db,
-            journal_db=args.db,
-            campaign_id=args.campaign,
-        )
+        exporter = MetricsAggregator(db=args.db, campaign_id=args.campaign)
     else:
         try:
             engine, _reports = _tuned_generation(args)
@@ -537,7 +533,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             if args.default_deadline_ms is not None
             else None
         ),
-        journal_db=args.db,
+        db=args.db,
         sample_interval=args.sample,
         log_stream=sys.stderr if args.access_log else None,
     )
@@ -604,9 +600,8 @@ def _serve_fleet(args: argparse.Namespace) -> int:
             if args.default_deadline_ms is not None
             else None
         ),
-        journal_db=args.db,
+        db=args.db,
         sample_interval=args.sample,
-        state_db=args.db,
     )
     service = {
         "seed": args.seed,
@@ -804,14 +799,12 @@ def _fleet_trace(args: argparse.Namespace) -> int:
 
     if _no_journal(args.db):
         return 2
-    spans = collect_fleet_spans(state_db=args.db)
     journal = CampaignJournal(args.db)
     try:
         metas = journal.campaigns()
     finally:
         journal.close()
-    for meta in metas:
-        spans += collect_fleet_spans(journal_db=args.db, campaign_id=meta.campaign_id)
+    spans = collect_fleet_spans(args.db, *[meta.campaign_id for meta in metas])
     known = trace_ids(spans)
     target = normalize_trace_id(args.campaign_id)
     if target not in known:

@@ -10,9 +10,9 @@ files, so the fleet view works while the fleet runs *and* after any —
 or every — process was SIGKILLed.
 
 **Trace assembly.**  :func:`collect_fleet_spans` gathers span trees
-from a serve-state file and/or a campaign journal (main + derived
-shard journals); :func:`spans_for_trace` selects one logical trace by
-the propagated ``trace_id`` attribute
+from one ``--db`` file: the serving fleet's, then those of named
+campaigns (main + derived shard journals); :func:`spans_for_trace`
+selects one logical trace by the propagated ``trace_id`` attribute
 (:mod:`repro.obs.propagation`); :func:`render_fleet_trace` renders it
 hop by hop.  One caveat is structural: ``start_ms`` is measured on
 each *process's own* monotonic origin, so spans order within a hop but
@@ -63,21 +63,20 @@ def _stamp(span: Span, role: str, process_id) -> Span:
 
 
 def collect_fleet_spans(
-    state_db: "str | None" = None,
-    journal_db: "str | None" = None,
-    campaign_id: "str | None" = None,
+    db: "str | None" = None, *campaign_ids: str
 ) -> "list[Span]":
-    """All journaled spans of the fleet: the replicas' (from the serve
-    state file), then the campaign's (its main journal, then each shard
-    journal), each stamped with the role and slot of its row.  Reads
-    only; missing files contribute nothing."""
+    """All journaled spans of ``db``: the replicas', then each named
+    campaign's (its main journal, then each shard journal), each
+    stamped with the role and slot of its row.  Reads only; a missing
+    file contributes nothing."""
     from repro import processlog
+    from repro.campaign.sharding import campaign_journals
 
-    sources = [(state_db, processlog.FLEET_SCOPE)] if state_db else []
-    if journal_db and campaign_id:
-        from repro.campaign.sharding import campaign_journals
-
-        sources += campaign_journals(journal_db, campaign_id)
+    if not db:
+        return []
+    sources = [(db, processlog.FLEET_SCOPE)]
+    for campaign_id in campaign_ids:
+        sources += campaign_journals(db, campaign_id)
     return [
         _stamp(Span.from_dict(data), role, slot)
         for role, slot, data in processlog.collect(sources)
@@ -294,14 +293,13 @@ def merge_latency(sections) -> dict:
 class MetricsAggregator:
     """One fleet-level stats snapshot, folded from journals.
 
-    Sources, all optional and all journal files:
+    Its source is one ``--db`` file, given as ``db`` or as a live
+    :class:`~repro.serve.state.ServeStateStore` (the fleet
+    supervisor's) whose replica rows are read through the store:
 
-    * ``state`` / ``state_db`` — a live
-      :class:`~repro.serve.state.ServeStateStore` (the fleet
-      supervisor's) or a path to one: contributes per-replica engine
-      stats, the folded ``http`` section, and the ``replicas`` gauge
-      rows.
-    * ``journal_db`` + ``campaign_id`` — a sharded campaign: contributes
+    * the serving fleet contributes per-replica engine stats, the
+      folded ``http`` section, and the ``replicas`` gauge rows;
+    * with ``campaign_id``, that sharded campaign contributes
       per-shard-worker engine stats (journaled heartbeats) and the
       ``workers`` gauge rows.
 
@@ -315,14 +313,12 @@ class MetricsAggregator:
     def __init__(
         self,
         state: "object | None" = None,
-        state_db: "str | None" = None,
-        journal_db: "str | None" = None,
+        db: "str | None" = None,
         campaign_id: "str | None" = None,
         wall_clock: Callable[[], float] = time.time,
     ) -> None:
         self._state = state
-        self._state_db = state_db
-        self._journal_db = journal_db
+        self._db = state.path if state is not None else db
         self._campaign_id = campaign_id
         self._wall = wall_clock
 
@@ -336,7 +332,7 @@ class MetricsAggregator:
         source = (
             nullcontext(self._state.processes)
             if self._state is not None
-            else reading(self._state_db)
+            else reading(self._db)
         )
         with source as log:
             if log is None:
@@ -346,17 +342,15 @@ class MetricsAggregator:
 
     def _worker_sources(self) -> "list[dict]":
         """Per-shard worker gauge rows (their stats ride inside)."""
-        if not self._journal_db or not self._campaign_id:
+        if not self._db or not self._campaign_id:
             return []
-        if not os.path.exists(str(self._journal_db)):
+        if not os.path.exists(str(self._db)):
             return []
         from repro.campaign.journal import UnknownCampaignError
         from repro.campaign.sharding import worker_rows
 
         try:
-            return worker_rows(
-                self._journal_db, self._campaign_id, now=self._wall()
-            )
+            return worker_rows(self._db, self._campaign_id, now=self._wall())
         except UnknownCampaignError:
             return []
 

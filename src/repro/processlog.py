@@ -21,10 +21,10 @@ each leaves the same three records in a SQLite journal, keyed
 (:data:`SUPERVISOR`, :data:`SHARD_WORKER`, :data:`REPLICA`); ``scope``
 is what the process works for (a campaign id, a shard campaign id, or
 :data:`FLEET_SCOPE`); ``slot`` is the shard or replica number (``None``
-for a span of the scope's own process).  Both
-:class:`~repro.campaign.journal.CampaignJournal` and
-:class:`~repro.serve.state.ServeStateStore` carry these tables and
-write through :class:`ProcessLog`; readers that must not write open
+for a span of the scope's own process).  Every
+:class:`~repro.campaign.journal.CampaignJournal` carries these tables
+(a :class:`~repro.serve.state.ServeStateStore` through the journal it
+opens) and writes through :class:`ProcessLog`; readers that must not write open
 files with :func:`reading`.  Process history in journals written before
 these tables existed is not read.
 """

@@ -93,6 +93,10 @@ from repro.serve.service import (
 #: Requests recorded in the in-memory access-log ring.
 ACCESS_LOG_CAPACITY = 1024
 
+#: Base ``Retry-After`` hint of a shed request, seconds (scaled by queue
+#: depth and jittered by :class:`~repro.serve.admission.AdmissionController`).
+SHED_RETRY_AFTER = 0.25
+
 
 @dataclass
 class ServeConfig:
@@ -100,32 +104,30 @@ class ServeConfig:
 
     Attributes:
         host / port: Bind address (port 0 picks a free ephemeral port).
-        max_inflight / max_queue / queue_timeout / retry_after:
+        max_inflight / max_queue / queue_timeout:
             Admission control (:class:`~repro.serve.admission.AdmissionController`).
         rate / burst: Per-tenant token-bucket budget; ``rate=None``
             disables rate limiting.
         default_deadline_s: Deadline applied when the client sends no
             ``X-Deadline-Ms`` header (``None`` = no default deadline;
             the watchdog budget still bounds each invocation).
-        journal_db: Path of a campaign journal.  Enables the
-            ``/v1/campaigns/*`` endpoints and, together with
+        db: The serving SQLite file (``repro-cli serve --db``).  Enables
+            the ``/v1/campaigns/*`` endpoints and, together with
             ``sample_interval``, journals HTTP samples + SLO alerts
             under :data:`HTTP_CAMPAIGN_ID` so ``repro-cli top`` /
-            ``alerts`` cover the server.
+            ``alerts`` cover the server: through the journal of the
+            service's :class:`~repro.serve.state.ServeStateStore` when
+            it carries one (a fleet replica opens its store on ``db``),
+            else through a campaign journal the server opens on ``db``
+            itself.  Registrations stay in memory without a store.
         sample_interval: Seconds between background SLO samples
             (0 disables the background thread; sampling can still be
             driven manually via ``server.sampler.sample()``).
         log_stream: Stream for structured JSON access-log lines
             (``None`` keeps the log in-memory only).
-        retry_jitter: Fractional random spread on shed ``Retry-After``
-            hints (:class:`~repro.serve.admission.AdmissionController`).
         reuse_port: Bind with ``SO_REUSEPORT`` so several replica
             processes share this (concrete) port and the kernel balances
             connections across them.
-        state_db: Path of a :class:`~repro.serve.state.ServeStateStore`
-            SQLite file (may be the journal itself).  Makes module
-            registrations, memoized reports and tenant budgets durable
-            and fleet-shared.
         replica: This process's replica index in a fleet (``None`` for a
             standalone server); the sampler's slot.
     """
@@ -135,16 +137,13 @@ class ServeConfig:
     max_inflight: int = 8
     max_queue: int = 32
     queue_timeout: float = 1.0
-    retry_after: float = 0.25
     rate: "float | None" = 50.0
     burst: float = 100.0
     default_deadline_s: "float | None" = None
-    journal_db: "str | None" = None
+    db: "str | None" = None
     sample_interval: float = 0.0
     log_stream: "object | None" = None
-    retry_jitter: float = 0.5
     reuse_port: bool = False
-    state_db: "str | None" = None
     replica: "int | None" = None
 
 
@@ -183,20 +182,15 @@ class AnnotationServer:
     ) -> None:
         self.config = config if config is not None else ServeConfig()
         self.service = service if service is not None else AnnotationService()
-        # Durable serving state: reuse the service's store when it came
-        # wired (the fleet replica path), else open the configured one
-        # and thread it through the service so registrations and
-        # memoized reports are shared/durable too.
+        # Durable serving state is the service's store (the fleet
+        # replica path); a standalone server keeps registrations,
+        # reports and tenant budgets in memory.
         self.state: "ServeStateStore | None" = self.service.state
-        if self.state is None and self.config.state_db is not None:
-            self.state = ServeStateStore(self.config.state_db)
-            self.service.state = self.state
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight,
             max_queue=self.config.max_queue,
             queue_timeout=self.config.queue_timeout,
-            retry_after=self.config.retry_after,
-            jitter=self.config.retry_jitter,
+            retry_after=SHED_RETRY_AFTER,
             seed=self.service.seed,
             clock=clock,
         )
@@ -208,9 +202,14 @@ class AnnotationServer:
         self._clock = clock
         self._trace_ids = TraceIdGenerator()
         self.access_log: "deque[dict]" = deque(maxlen=ACCESS_LOG_CAPACITY)
+        # One handle on the file: a server with a store journals through
+        # the store's journal; one without opens its own (closed by stop).
         self.journal: "CampaignJournal | None" = None
-        if self.config.journal_db is not None:
-            self.journal = CampaignJournal(self.config.journal_db)
+        if self.state is not None:
+            self.journal = self.state.journal
+        elif self.config.db is not None:
+            self.journal = CampaignJournal(self.config.db)
+        if self.journal is not None:
             try:
                 self.journal.create(
                     HTTP_CAMPAIGN_ID, self.service.seed, [],
@@ -298,20 +297,17 @@ class AnnotationServer:
         return self
 
     def stop(self) -> None:
-        """Stop serving, sampling, and close the journal + state."""
+        """Stop serving and sampling, and close the journal this server
+        opened (a store's journal stays with its owner)."""
         self.sampler.stop()
         if self._thread is not None:
             self._httpd.shutdown()
             self._thread.join()
             self._thread = None
         self._httpd.server_close()
-        if self.journal is not None:
+        if self.journal is not None and self.state is None:
             self.journal.close()
             self.journal = None
-        if self.state is not None:
-            self.state.close()
-            self.state = None
-            self.service.state = None
 
     @property
     def draining(self) -> bool:
@@ -336,7 +332,7 @@ class AnnotationServer:
            the fleet the instant this socket closes;
         3. wait up to ``timeout`` seconds for the in-flight request
            counter to reach zero, then release the rest of the server
-           (sampler, journal, state).
+           (sampler, and the journal it opened).
 
         Idle keep-alive connections (no request currently in flight) are
         *not* waited for: their handler threads are daemon threads that

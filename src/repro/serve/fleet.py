@@ -151,7 +151,9 @@ def serve_replica_main(spec: dict) -> int:
     replica = spec["replica"]
     attempt = spec["attempt"]
     config = ServeConfig(**spec["serve_config"])
-    store = ServeStateStore(config.state_db)
+    # The replica's one connection to --db: the server journals through
+    # this store's journal, and the final rows below still use it.
+    store = ServeStateStore(config.db)
     service = AnnotationService(state=store, **spec["service"])
     server = AnnotationServer(service, config)
     # Continuous profiling, armed fleet-wide by REPRO_PROFILE_HZ: the
@@ -161,14 +163,14 @@ def serve_replica_main(spec: dict) -> int:
 
     started_wall = time.time()
 
-    def beat(phase: str, log=store.processes, final: bool = False) -> None:
+    def beat(phase: str, final: bool = False) -> None:
         # The full stats snapshot rides every beat (last write wins,
         # like shard heartbeats): this is how per-replica telemetry
         # leaves the process, and what the supervisor's fleet /metrics
         # fold (MetricsAggregator) reads back — journals alone, no
         # shared memory, no live scrape of each replica.  The final row
         # keeps the last beat's snapshot.
-        log.record_status(
+        store.processes.record_status(
             REPLICA,
             FLEET_SCOPE,
             replica,
@@ -190,11 +192,9 @@ def serve_replica_main(spec: dict) -> int:
     store.record_event(replica, "drain", f"pid {os.getpid()} draining")
     heartbeat.stop()
     drained = server.drain(timeout=spec["drain_timeout"])
-    # The server closed the store; reopen briefly for the final row.
-    final = ServeStateStore(config.state_db)
     try:
-        beat("drained" if drained else "drain-timeout", final.processes, True)
-        final.record_event(
+        beat("drained" if drained else "drain-timeout", final=True)
+        store.record_event(
             replica,
             "drained" if drained else "drain-timeout",
             f"pid {os.getpid()}",
@@ -202,13 +202,13 @@ def serve_replica_main(spec: dict) -> int:
         if profiler is not None:
             import json as _json
 
-            final.record_event(
+            store.record_event(
                 replica,
                 PROFILE_EVENT_KIND,
                 _json.dumps(profiler.stop(), sort_keys=True),
             )
     finally:
-        final.close()
+        store.close()
     return 0
 
 
@@ -216,9 +216,9 @@ class ServeSupervisor:
     """Keeps ``fleet.replicas`` serving processes behind one port.
 
     Args:
-        serve_config: The per-replica serving knobs.  ``state_db`` is
-            required (the fleet's shared state and post-mortem live
-            there); ``port 0`` resolves to a reserved ephemeral port;
+        serve_config: The per-replica serving knobs.  ``db`` is
+            required (the fleet's shared state, journal and post-mortem
+            live there); ``port 0`` resolves to a reserved ephemeral port;
             ``log_stream`` must be ``None`` (it cannot cross a spawn
             boundary).
         fleet: The supervision knobs.
@@ -230,7 +230,7 @@ class ServeSupervisor:
         wall_clock / sleep: Injectable time sources for tests.
 
     Raises:
-        ValueError: ``state_db`` missing or ``log_stream`` set.
+        ValueError: ``db`` missing or ``log_stream`` set.
     """
 
     def __init__(
@@ -242,9 +242,9 @@ class ServeSupervisor:
         wall_clock: Callable[[], float] = time.time,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if serve_config.state_db is None:
+        if serve_config.db is None:
             raise ValueError(
-                "a serving fleet needs state_db — replicas share "
+                "a serving fleet needs db — replicas share "
                 "registrations, reports and tenant budgets through it"
             )
         if serve_config.log_stream is not None:
@@ -276,7 +276,7 @@ class ServeSupervisor:
                 "replica": None,
             }
         )
-        self.store = ServeStateStore(serve_config.state_db)
+        self.store = ServeStateStore(serve_config.db)
         # Any unsupervised exit — crash, chaos kill, even a clean 0
         # nobody asked for — leaves the fleet a replica short; the
         # supervisor's job is to put it back.
@@ -327,7 +327,6 @@ class ServeSupervisor:
 
             aggregator = MetricsAggregator(
                 state=self.store,
-                journal_db=self.serve_config.journal_db,
                 campaign_id=HTTP_CAMPAIGN_ID,
                 wall_clock=self._wall,
             )

@@ -31,6 +31,27 @@ from repro.engine.telemetry import default_clock
 ANONYMOUS_TENANT = "anonymous"
 
 
+def spend_token(
+    tokens: float, refilled: float, now: float, rate: float, burst: float
+) -> "tuple[float, bool, float]":
+    """Refill a bucket holding ``tokens`` since ``refilled`` up to
+    ``now``, then try to spend one token: the one refill rule of the
+    in-memory :class:`TokenBucket` and the durable
+    :meth:`~repro.serve.state.ServeStateStore.charge_tenant`.
+
+    ``max(0, now - refilled)`` guards a clock stepping backwards, which
+    must never mint tokens.
+
+    Returns:
+        ``(tokens left, allowed, retry_after_s)``: ``retry_after_s`` is
+        0.0 when admitted, else the wait until one token has refilled.
+    """
+    tokens = min(burst, tokens + max(0.0, now - refilled) * rate)
+    if tokens >= 1.0:
+        return tokens - 1.0, True, 0.0
+    return tokens, False, (1.0 - tokens) / rate
+
+
 class TokenBucket:
     """One tenant's budget: ``burst`` capacity, ``rate`` tokens/second.
 
@@ -69,16 +90,15 @@ class TokenBucket:
         """
         with self._lock:
             now = self._clock()
-            self._tokens = min(
-                self.burst, self._tokens + (now - self._refilled_at) * self.rate
+            self._tokens, allowed, retry_after = spend_token(
+                self._tokens, self._refilled_at, now, self.rate, self.burst
             )
             self._refilled_at = now
-            if self._tokens >= 1.0:
-                self._tokens -= 1.0
+            if allowed:
                 self.allowed += 1
-                return True, 0.0
-            self.limited += 1
-            return False, (1.0 - self._tokens) / self.rate
+            else:
+                self.limited += 1
+            return allowed, retry_after
 
     def snapshot(self) -> dict:
         with self._lock:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.campaign.journal import report_from_dict, report_to_dict
+from repro.campaign.journal import report_to_dict
 from repro.core.generation import ExampleGenerator
 from repro.core.matching import find_matches
 from repro.engine import (
@@ -207,31 +207,31 @@ class AnnotationService:
         if injector is not None:
             injector.note_request()
 
-    def _memoized_report(self, module_id: str):
-        """The memoized report from memory, else the shared store.
+    def _report(self, module_id: str):
+        """``(report, cached)``: the memoized report — from memory, else
+        from the shared store — or a fresh generation, memoized in both.
 
         A store hit is hydrated into this process's memory, so a replica
-        pays the JSON round-trip once per module.  Returns ``(report,
-        cached)`` with ``report=None`` on a full miss.
+        pays the JSON round-trip once per module.
         """
+        module = self._registered_module(module_id)
+        if not self.memoize:
+            return self.generator.generate(module), False
         with self._lock:
             report = self._reports.get(module_id)
-        if report is not None:
-            return report, True
-        if self.state is not None:
-            payload = self.state.load_report(module_id)
-            if payload is not None:
-                report = report_from_dict(payload)
+        if report is None and self.state is not None:
+            report = self.state.load_report(module_id)
+            if report is not None:
                 with self._lock:
                     self._reports[module_id] = report
-                return report, True
-        return None, False
-
-    def _memoize_report(self, module_id: str, report) -> None:
+        if report is not None:
+            return report, True
+        report = self.generator.generate(module)
         with self._lock:
             self._reports[module_id] = report
         if self.state is not None:
-            self.state.store_report(module_id, report_to_dict(report))
+            self.state.store_report(module_id, report)
+        return report, False
 
     # ------------------------------------------------------------------
     def generate(self, module_id: str) -> dict:
@@ -242,15 +242,8 @@ class AnnotationService:
             Engine exceptions (e.g. ``ModuleTimeoutError`` on deadline
             exhaustion) propagate for the transport layer to map.
         """
-        module = self._registered_module(module_id)
-        if self.memoize:
-            report, cached = self._memoized_report(module_id)
-            if cached:
-                return self._generation_payload(report, cached=True)
-        report = self.generator.generate(module)
-        if self.memoize:
-            self._memoize_report(module_id, report)
-        return self._generation_payload(report, cached=False)
+        report, cached = self._report(module_id)
+        return self._generation_payload(report, cached)
 
     @staticmethod
     def _generation_payload(report, cached: bool) -> dict:
@@ -265,21 +258,10 @@ class AnnotationService:
             "report": report_to_dict(report),
         }
 
-    def _examples_for(self, module_id: str):
-        module = self._registered_module(module_id)
-        if self.memoize:
-            report, cached = self._memoized_report(module_id)
-            if cached:
-                return report.examples
-        report = self.generator.generate(module)
-        if self.memoize:
-            self._memoize_report(module_id, report)
-        return report.examples
-
     def match(self, module_id: str) -> dict:
         """§6 behavior comparison against every available candidate."""
         module = self._registered_module(module_id)
-        examples = self._examples_for(module_id)
+        examples = self._report(module_id)[0].examples
         reports = find_matches(self.ctx, module, examples, self.catalog)
         return {
             "module_id": module_id,

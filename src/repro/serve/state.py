@@ -5,13 +5,13 @@ memoized generation reports, its registration set and its per-tenant
 token buckets in process memory — all of which die with the process and
 none of which can be shared once ``repro-cli serve --replicas N`` runs
 several replicas behind one ``SO_REUSEPORT`` socket.  The
-:class:`ServeStateStore` closes that shared-nothing gap with the same
-SQLite WAL discipline the campaign journal already trusts
+:class:`ServeStateStore` closes that shared-nothing gap on the campaign
+journal's own connection
 (:class:`~repro.campaign.journal.CampaignJournal`): WAL mode,
 ``synchronous=NORMAL``, a generous ``busy_timeout``, and idempotent
-upserts, so any number of replica processes read and write one file
-concurrently and a ``kill -9`` anywhere loses at most the uncommitted
-statement.
+upserts, each committed before the journal's lock is released, so any
+number of replica processes read and write one file concurrently and a
+``kill -9`` anywhere loses at most the uncommitted statement.
 
 Tables:
 
@@ -19,10 +19,11 @@ Tables:
     The shared registration set.  A module registered through any
     replica is served by all of them.
 ``serve_reports``
-    Memoized §3 generation reports (full
-    :func:`~repro.campaign.journal.report_to_dict` round-trip), so one
-    replica's work answers every replica's ``/v1/generate`` and a
-    restarted fleet serves ``cached: true`` immediately.
+    Memoized §3 generation reports, one
+    :func:`~repro.campaign.journal.report_json` row each (the printer of
+    campaign rows), so one replica's work answers every replica's
+    ``/v1/generate`` and a restarted fleet serves ``cached: true``
+    immediately.
 ``serve_tenants``
     Per-tenant token buckets on the *wall* clock (monotonic clocks do
     not survive a restart, wall clocks do).  ``charge`` is one
@@ -42,24 +43,26 @@ Tables:
     one request's trace across replicas after any of them was
     SIGKILLed — all from the file alone.
 
-The store can live inside the campaign journal's own SQLite file (the
-two share the process tables, keyed by role and scope, and their other
-tables are disjoint), which is what the CLI does: one ``--db`` carries
-campaigns, HTTP samples, alerts, and the serving fleet's state.
+The store lives inside a campaign journal: it opens one
+:class:`~repro.campaign.journal.CampaignJournal` on its file, exposes it
+as :attr:`ServeStateStore.journal`, and runs its own tables and process
+log on that journal's connection and lock.  So one ``--db`` carries
+campaigns, HTTP samples, alerts and the serving fleet's state, and a
+serving process holds one connection to it.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
 from typing import Callable
 
-from repro.campaign.journal import open_wal
+from repro.campaign.journal import CampaignJournal, report_from_dict, report_json
+from repro.core.generation import GenerationReport
 from repro.processlog import FLEET_SCOPE, REPLICA, ProcessLog
-from repro.processlog import SCHEMA as _PROCESS_SCHEMA
+from repro.serve.ratelimit import spend_token
 
-_SCHEMA = _PROCESS_SCHEMA + """
+_SCHEMA = """
 CREATE TABLE IF NOT EXISTS serve_modules (
     module_id TEXT PRIMARY KEY,
     registered_wall REAL NOT NULL
@@ -85,7 +88,7 @@ class ServeStateStore:
     """Durable, multi-process serving state over one SQLite WAL file.
 
     Args:
-        path: The SQLite file (shareable with a campaign journal).
+        path: The SQLite file, opened as a campaign journal.
         busy_timeout: Seconds a blocked statement waits for another
             process's lock before erroring.
         wall_clock: Wall-clock source (token refill and heartbeat ages
@@ -100,20 +103,21 @@ class ServeStateStore:
     ) -> None:
         self.path = str(path)
         self._wall = wall_clock
-        self._lock = threading.Lock()
-        # Autocommit (isolation_level=None): single statements commit on
-        # their own; the one read-modify-write path (charge) manages its
-        # BEGIN IMMEDIATE transaction explicitly.
-        self._connection = open_wal(
-            self.path, _SCHEMA, busy_timeout, isolation_level=None
-        )
+        #: The file's campaign journal: this store's one connection.
+        self.journal = CampaignJournal(self.path, busy_timeout)
+        # The journal's connection opens a transaction before each
+        # write, so every write below commits before the lock is
+        # released (``with self._lock, self._connection``).
+        self._connection = self.journal._connection
+        self._lock = self.journal._lock
+        with self._lock:
+            self._connection.executescript(_SCHEMA)
         #: Heartbeat rows, lifecycle events and spans of the replicas,
         #: under role ``replica`` and scope ``FLEET_SCOPE``.
         self.processes = ProcessLog(self._connection, self._lock, wall_clock)
 
     def close(self) -> None:
-        with self._lock:
-            self._connection.close()
+        self.journal.close()
 
     # ------------------------------------------------------------------
     # Registration set
@@ -125,7 +129,7 @@ class ServeStateStore:
             True when this call inserted the row (first registration
             across the whole fleet), False when it was already there.
         """
-        with self._lock:
+        with self._lock, self._connection:
             cursor = self._connection.execute(
                 "INSERT OR IGNORE INTO serve_modules "
                 "(module_id, registered_wall) VALUES (?, ?)",
@@ -150,23 +154,23 @@ class ServeStateStore:
     # ------------------------------------------------------------------
     # Memoized generation reports
     # ------------------------------------------------------------------
-    def store_report(self, module_id: str, report: dict) -> None:
+    def store_report(self, module_id: str, report: GenerationReport) -> None:
         """Upsert one memoized generation report (idempotent — every
         replica regenerating the same module writes the same bytes)."""
-        with self._lock:
+        with self._lock, self._connection:
             self._connection.execute(
                 "INSERT OR REPLACE INTO serve_reports "
                 "(module_id, report_json, created_wall) VALUES (?, ?, ?)",
-                (module_id, json.dumps(report, sort_keys=True), self._wall()),
+                (module_id, report_json(report), self._wall()),
             )
 
-    def load_report(self, module_id: str) -> "dict | None":
+    def load_report(self, module_id: str) -> "GenerationReport | None":
         with self._lock:
             row = self._connection.execute(
                 "SELECT report_json FROM serve_reports WHERE module_id = ?",
                 (module_id,),
             ).fetchone()
-        return json.loads(row[0]) if row is not None else None
+        return report_from_dict(json.loads(row[0])) if row is not None else None
 
     def report_count(self) -> int:
         with self._lock:
@@ -184,7 +188,7 @@ class ServeStateStore:
             raise ValueError("rate must be positive")
         if burst < 1:
             raise ValueError("burst must be at least 1")
-        with self._lock:
+        with self._lock, self._connection:
             self._connection.execute(
                 "INSERT OR REPLACE INTO serve_tenants "
                 "(tenant, tokens, refilled_wall, rate, burst, allowed, limited) "
@@ -222,17 +226,13 @@ class ServeStateStore:
                     allowed, limited = 0, 0
                 else:
                     tokens, refilled, row_rate, row_burst, allowed, limited = row
-                # max(0, ...) guards a wall clock stepping backwards.
-                tokens = min(
-                    row_burst, tokens + max(0.0, now - refilled) * row_rate
+                tokens, admitted, retry_after = spend_token(
+                    tokens, refilled, now, row_rate, row_burst
                 )
-                if tokens >= 1.0:
-                    tokens -= 1.0
+                if admitted:
                     allowed += 1
-                    outcome = (True, 0.0)
                 else:
                     limited += 1
-                    outcome = (False, (1.0 - tokens) / row_rate)
                 self._connection.execute(
                     "INSERT OR REPLACE INTO serve_tenants "
                     "(tenant, tokens, refilled_wall, rate, burst, allowed, "
@@ -243,7 +243,7 @@ class ServeStateStore:
             except BaseException:
                 self._connection.execute("ROLLBACK")
                 raise
-        return outcome
+        return admitted, retry_after
 
     def tenant_snapshot(self) -> dict:
         """``{tenant: bucket snapshot}`` in the in-memory limiter's shape."""

@@ -71,7 +71,7 @@ def _wait(supervisor, predicate, timeout=45.0, message="condition"):
 
 
 def _supervisor(db, replicas=2, **fleet_kwargs):
-    config = ServeConfig(host="127.0.0.1", port=0, state_db=str(db), rate=None)
+    config = ServeConfig(host="127.0.0.1", port=0, db=str(db), rate=None)
     fleet = FleetConfig(replicas=replicas, **{**FAST, **fleet_kwargs})
     # memoize=False: every /v1/generate invokes the engine (cache hits
     # answer from the store without opening a span), so each request
@@ -167,9 +167,7 @@ def fleet_world(tmp_path_factory, catalog):
 # ----------------------------------------------------------------------
 class TestFleetTraceAssembly:
     def test_one_trace_covers_replicas_and_shard_workers(self, fleet_world):
-        spans = collect_fleet_spans(
-            fleet_world["db"], fleet_world["db"], CAMPAIGN
-        )
+        spans = collect_fleet_spans(fleet_world["db"], CAMPAIGN)
         mine = spans_for_trace(TRACE, spans)
         assert mine
         hops = {
@@ -188,15 +186,11 @@ class TestFleetTraceAssembly:
         # The victim's spans were journaled before the SIGKILL; the
         # reader never needed the process, only the file.
         assert fleet_world["killed_pid"] is not None
-        spans = collect_fleet_spans(
-            fleet_world["db"], fleet_world["db"], CAMPAIGN
-        )
+        spans = collect_fleet_spans(fleet_world["db"], CAMPAIGN)
         assert spans_for_trace(TRACE, spans)
 
     def test_render_groups_by_process_hop(self, fleet_world):
-        spans = collect_fleet_spans(
-            fleet_world["db"], fleet_world["db"], CAMPAIGN
-        )
+        spans = collect_fleet_spans(fleet_world["db"], CAMPAIGN)
         text = render_fleet_trace(TRACE, spans_for_trace(TRACE, spans))
         assert f"trace {TRACE}" in text
         assert "[shard-worker 0]" in text
@@ -315,9 +309,7 @@ class TestUnifiedScrape:
 
     def test_fleet_snapshot_reports_its_sources(self, fleet_world):
         snapshot = MetricsAggregator(
-            state_db=fleet_world["db"],
-            journal_db=fleet_world["db"],
-            campaign_id=CAMPAIGN,
+            db=fleet_world["db"], campaign_id=CAMPAIGN
         ).snapshot()
         assert snapshot["fleet"]["replica_snapshots"] >= 2
         assert snapshot["fleet"]["worker_snapshots"] == 2

@@ -120,16 +120,14 @@ class TestCollection:
         store = ServeStateStore(tmp_path / "s.db")
         _record_span(store, 2, _span_dict())
         store.close()
-        spans = collect_fleet_spans(state_db=str(tmp_path / "s.db"))
+        spans = collect_fleet_spans(str(tmp_path / "s.db"))
         assert len(spans) == 1
         assert spans[0].attributes["process_role"] == "replica"
         assert spans[0].attributes["process_id"] == 2
 
     def test_missing_file_collects_nothing(self, tmp_path):
-        assert collect_fleet_spans(state_db=str(tmp_path / "nope.db")) == []
-        assert collect_fleet_spans(
-            journal_db=str(tmp_path / "nope.db"), campaign_id="c"
-        ) == []
+        assert collect_fleet_spans(str(tmp_path / "nope.db")) == []
+        assert collect_fleet_spans(str(tmp_path / "nope.db"), "c") == []
         assert collect_fleet_spans() == []
 
     def test_campaign_journal_without_serve_state_is_not_mutated(self, tmp_path):
@@ -139,7 +137,7 @@ class TestCollection:
         journal = CampaignJournal(path)
         journal.create("c", 1, ["m"], {})
         journal.close()
-        assert collect_fleet_spans(state_db=str(path)) == []
+        assert collect_fleet_spans(str(path)) == []
         # The collector must not have grafted serve rows onto it.
         assert not has_status(str(path), REPLICA, FLEET_SCOPE)
 
@@ -148,7 +146,7 @@ class TestCollection:
 
         path = tmp_path / "c.db"
         CampaignJournal(path).close()
-        assert collect_fleet_spans(journal_db=str(path), campaign_id="ghost") == []
+        assert collect_fleet_spans(str(path), "ghost") == []
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +278,7 @@ class TestMetricsAggregator:
         for replica, stats in enumerate(per_replica):
             _record_stats(store, replica, stats)
         store.close()
-        aggregator = MetricsAggregator(state_db=str(path))
+        aggregator = MetricsAggregator(db=str(path))
         snapshot = aggregator.snapshot()
         expected = merge_stats_snapshots(per_replica)
         for section in ("counters", "latency"):
@@ -294,14 +292,12 @@ class TestMetricsAggregator:
         store = ServeStateStore(path)
         _record_stats(store, 0, {"counters": {}, "http": _http_snapshot(6)})
         store.close()
-        snapshot = MetricsAggregator(state_db=str(path)).snapshot()
+        snapshot = MetricsAggregator(db=str(path)).snapshot()
         assert snapshot["http"]["requests_total"] == 6
         assert snapshot["http"]["replicas_reporting"] == 1
 
     def test_no_sources_is_a_well_formed_empty_snapshot(self, tmp_path):
-        snapshot = MetricsAggregator(
-            state_db=str(tmp_path / "missing.db")
-        ).snapshot()
+        snapshot = MetricsAggregator(db=str(tmp_path / "missing.db")).snapshot()
         assert snapshot["counters"] == {}
         assert snapshot["fleet"]["sources"] == 0
 
@@ -314,7 +310,7 @@ class TestMetricsAggregator:
              "dropped_events": 0},
         )
         store.close()
-        text = MetricsAggregator(state_db=str(path)).to_prometheus()
+        text = MetricsAggregator(db=str(path)).to_prometheus()
         assert "repro_invocations_total" in text
         assert 'repro_engine_events_total{event="calls"} 2' in text
 

@@ -79,11 +79,13 @@ def test_render_prometheus_ignores_legacy_keys(modern_stats):
 
 
 def _write_fleet(directory, snapshots) -> str:
-    """A serve-state store with one replica heartbeat per snapshot and a
-    sharded campaign journal with one shard-worker heartbeat per
-    snapshot, all stamped at a fixed wall time."""
+    """One ``--db`` file holding a serve-state store with one replica
+    heartbeat per snapshot and a sharded campaign journal with one
+    shard-worker heartbeat per snapshot, all stamped at a fixed wall
+    time."""
     directory.mkdir()
-    state = ServeStateStore(directory / "state.db")
+    db = directory / "fleet.db"
+    state = ServeStateStore(db)
     try:
         for replica, stats in enumerate(snapshots):
             state.processes.record_status(
@@ -93,7 +95,6 @@ def _write_fleet(directory, snapshots) -> str:
             )
     finally:
         state.close()
-    db = directory / "campaign.db"
     modules = [f"m{index}" for index in range(2 * len(snapshots))]
     journal = CampaignJournal(db)
     try:
@@ -127,8 +128,7 @@ def test_aggregator_ignores_legacy_keys(modern_stats, tmp_path):
     ):
         directory = _write_fleet(tmp_path / name, snapshots)
         aggregator = MetricsAggregator(
-            state_db=f"{directory}/state.db",
-            journal_db=f"{directory}/campaign.db",
+            db=f"{directory}/fleet.db",
             campaign_id="c",
             wall_clock=lambda: 100.0,
         )

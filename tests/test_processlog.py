@@ -230,7 +230,7 @@ class TestSpanRows:
         shard = CampaignJournal(shard_journal_path(db, 1))
         shard.record_span(shard_campaign_id("c", 1), _span("b"))
         shard.close()
-        spans = collect_fleet_spans(journal_db=str(db), campaign_id="c")
+        spans = collect_fleet_spans(str(db), "c")
         assert [
             (span.module_id, span.attributes["process_role"],
              span.attributes.get("process_id"))
@@ -256,8 +256,8 @@ class TestReadOnly:
         for db in (path, foreign):
             assert not has_status(db, REPLICA, FLEET_SCOPE)
             assert collect([(str(db), FLEET_SCOPE), (str(db), "c")]) == []
-            assert collect_fleet_spans(str(db), str(db), "c") == []
-            assert MetricsAggregator(state_db=str(db)).snapshot()["fleet"][
+            assert collect_fleet_spans(str(db), "c") == []
+            assert MetricsAggregator(db=str(db)).snapshot()["fleet"][
                 "sources"
             ] == 0
         with reading(foreign) as log:
@@ -270,8 +270,8 @@ class TestReadOnly:
         assert not has_status(missing, REPLICA, FLEET_SCOPE)
         assert not has_status("", REPLICA, FLEET_SCOPE)
         assert collect([(str(missing), "c")]) == []
-        assert collect_fleet_spans(str(missing), str(missing), "c") == []
-        MetricsAggregator(state_db=str(missing)).snapshot()
+        assert collect_fleet_spans(str(missing), "c") == []
+        MetricsAggregator(db=str(missing)).snapshot()
         with reading(missing) as log:
             assert log is None
         assert list(tmp_path.iterdir()) == []

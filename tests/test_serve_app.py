@@ -341,7 +341,7 @@ class TestObservability:
 # ----------------------------------------------------------------------
 class TestCampaignEndpoints:
     def test_progress_and_alerts_from_the_journal(self, service, tmp_path):
-        config = ServeConfig(rate=None, journal_db=str(tmp_path / "serve.sqlite"))
+        config = ServeConfig(rate=None, db=str(tmp_path / "serve.sqlite"))
         with AnnotationServer(service, config) as server:
             request(server, "GET", "/healthz")
             server.sampler.sample()
@@ -377,7 +377,7 @@ class TestHttpSlo:
             raise RuntimeError("injected service fault")
 
         monkeypatch.setattr(service, "generate", broken)
-        config = ServeConfig(rate=None, journal_db=str(tmp_path / "slo.sqlite"))
+        config = ServeConfig(rate=None, db=str(tmp_path / "slo.sqlite"))
         with AnnotationServer(service, config) as server:
             server.sampler.sample()
             statuses = [

@@ -143,7 +143,7 @@ def test_concurrent_mixed_load_while_campaign_runs(tmp_path):
         # only the bespoke "greedy" bucket below runs dry.
         rate=10_000.0,
         burst=20_000.0,
-        journal_db=str(tmp_path / "serve.sqlite"),
+        db=str(tmp_path / "serve.sqlite"),
         sample_interval=0.05,
     )
     with AnnotationServer(service, config) as server:

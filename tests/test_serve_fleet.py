@@ -58,7 +58,7 @@ def _wait(supervisor, predicate, timeout=45.0, message="condition"):
 
 def _supervisor(db, replicas=2, rate=None, burst=100.0, **fleet_kwargs):
     config = ServeConfig(
-        host="127.0.0.1", port=0, state_db=str(db), rate=rate, burst=burst,
+        host="127.0.0.1", port=0, db=str(db), rate=rate, burst=burst,
     )
     fleet = FleetConfig(replicas=replicas, **{**FAST, **fleet_kwargs})
     return ServeSupervisor(
@@ -72,12 +72,12 @@ def _event_kinds(supervisor):
 
 class TestSupervisorValidation:
     def test_state_db_is_required(self):
-        with pytest.raises(ValueError, match="state_db"):
+        with pytest.raises(ValueError, match="needs db"):
             ServeSupervisor(ServeConfig(port=0))
 
     def test_log_stream_cannot_cross_the_spawn_boundary(self, tmp_path):
         config = ServeConfig(
-            port=0, state_db=str(tmp_path / "s.db"), log_stream=sys.stderr
+            port=0, db=str(tmp_path / "s.db"), log_stream=sys.stderr
         )
         with pytest.raises(ValueError, match="log_stream"):
             ServeSupervisor(config)
@@ -153,7 +153,7 @@ class TestStartupSignals:
 
         db = tmp_path / "fleet.db"
         config = ServeConfig(
-            host="127.0.0.1", port=0, state_db=str(db), reuse_port=True,
+            host="127.0.0.1", port=0, db=str(db), reuse_port=True,
             replica=0,
         )
         spec = {

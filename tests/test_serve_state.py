@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+from repro.core.generation import ExampleGenerator
 from repro.processlog import FLEET_SCOPE, REPLICA, has_status
 from repro.serve import ServeStateStore
 
@@ -62,8 +63,8 @@ class TestRegistrations:
 
 
 class TestReports:
-    def test_round_trip_and_idempotent_upsert(self, store):
-        report = {"module_id": "xf.a", "examples": [{"x": 1}], "meta": {"n": 3}}
+    def test_round_trip_and_idempotent_upsert(self, store, ctx, pool, catalog):
+        report = ExampleGenerator(ctx, pool).generate(catalog[0])
         store.store_report("xf.a", report)
         store.store_report("xf.a", report)  # every replica writes the same
         assert store.load_report("xf.a") == report
