@@ -83,7 +83,9 @@ bench-obs:
 # the wire decoder, compare_behavior's pinned equality, and the wire
 # layer's fast paths (the one-pass SOAP envelope scan, the direct JSON
 # scan, the compiled accession guards) against the formulas they
-# replaced.
+# replaced; then §6 repair, which reads what flows along a link off the
+# producer's data examples, and the guard that core/, match/ and
+# workflow/ read no ground-truth module field.
 # The CI job then runs a downsized benchmark writing to a temp file
 # (the committed BENCH_match.json stays untouched).
 match-smoke:
@@ -94,7 +96,8 @@ match-smoke:
 		tests/test_match_sketch.py tests/test_values_canonical.py \
 		tests/test_wire_encoding.py tests/test_engine_telemetry.py \
 		tests/test_engine_cache_model.py tests/test_structural_lookup.py \
-		tests/test_matching_equality.py tests/test_wire_fastpaths.py
+		tests/test_matching_equality.py tests/test_wire_fastpaths.py \
+		tests/test_repair.py tests/test_ground_truth_guard.py
 
 # Benchmark smoke (the CI match-smoke job): every perfbench workload for
 # one second untraced, then synth-match once traced, so a wrong output

@@ -24,7 +24,8 @@ def test_bench_repair_campaign(benchmark, setup):
 
     def run():
         repairer = WorkflowRepairer(
-            setup.ctx, setup.modules_by_id, setup.matches, setup.pool
+            setup.ctx, setup.modules_by_id, setup.matches, setup.pool,
+            setup.examples_by_id,
         )
         return repairer.repair_all(broken, setup.historical_traces)
 

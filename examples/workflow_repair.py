@@ -65,7 +65,7 @@ def main() -> None:
         m.module_id: find_matches(ctx, m, examples[m.module_id], catalog)
         for m in decayed
     }
-    repairer = WorkflowRepairer(ctx, modules, matches, pool)
+    repairer = WorkflowRepairer(ctx, modules, matches, pool, examples)
     result = repairer.repair(workflow, historical)
     for step_id, (old, new, kind) in result.substitutions.items():
         print(f"   step {step_id!r}: {old} -> {new}  [{kind.value}]")

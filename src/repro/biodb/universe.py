@@ -468,9 +468,6 @@ class BioUniverse:
         """Identifier concepts this universe can resolve."""
         return tuple(self._lookup_tables)
 
-    def protein_by_uniprot(self, accession: str) -> Protein:
-        return self.resolve("UniProtAccession", accession)
-
     def gene_for_protein(self, protein: Protein) -> Gene:
         return self.genes[protein.gene_ordinal]
 

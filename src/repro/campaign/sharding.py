@@ -187,7 +187,9 @@ def worker_rows(
 ) -> "list[dict]":
     """Per-shard worker rows for dashboards and metrics.
 
-    Everything is read from the journals alone — the supervisor may be
+    A campaign is sharded iff its config ran with ``workers > 1``; an
+    unsharded one has no workers, so its list is empty.  Everything is
+    read from the journals alone — the supervisor may be
     alive in another process, or long dead — so ``repro-cli top`` and
     ``campaign workers`` reconstruct the worker fleet post-mortem.
     Liveness and restarts are :func:`repro.processlog.fold`'s; a
@@ -212,7 +214,9 @@ def worker_rows(
         finally:
             main.close()
     config = meta.config or {}
-    n_shards = max(1, int(config.get("workers", 1) or 1))
+    n_shards = int(config.get("workers", 1) or 1)
+    if n_shards < 2:
+        return []
     heartbeat_timeout = float(config.get("heartbeat_timeout", 10.0) or 10.0)
     plan = shard_plan(list(meta.module_ids), n_shards)
     degraded = {

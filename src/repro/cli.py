@@ -265,7 +265,7 @@ def cmd_match_repair(args: argparse.Namespace) -> int:
         setup = default_setup(args.seed)
         setup.repository  # fire the §6 decay event
         planner = IndexedRepairPlanner(
-            setup.ctx, setup.modules_by_id, setup.decayed_examples,
+            setup.ctx, setup.modules_by_id, setup.examples_by_id,
             setup.match_index, setup.pool, engine=setup.engine,
         )
         plan = planner.plan(
@@ -1245,15 +1245,14 @@ def cmd_campaign_workers(args: argparse.Namespace) -> int:
         events = journal.worker_events(args.campaign_id)
     finally:
         journal.close()
-    workers = int((meta.config or {}).get("workers", 1) or 1)
-    if workers < 2:
+    rows = worker_rows(args.db, args.campaign_id, meta=meta, events=events)
+    if not rows:
         print(
             f"error: campaign {args.campaign_id!r} was not sharded "
             "(ran with workers=1)",
             file=sys.stderr,
         )
         return 2
-    rows = worker_rows(args.db, args.campaign_id, meta=meta, events=events)
     if args.prometheus:
         from repro.obs import render_prometheus
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.core.examples import DataExample
 from repro.core.matching import MatchKind, MatchReport
 from repro.modules.model import Module, ModuleContext
 from repro.pool.pool import InstancePool
@@ -84,16 +85,20 @@ class WorkflowRepairer:
         modules_by_id: dict[str, Module],
         matches: dict[str, "list[MatchReport]"],
         pool: InstancePool,
+        examples_by_id: "dict[str, list[DataExample]]",
     ) -> None:
         """Args:
             ctx: Execution context.
             modules_by_id: All modules (available and decayed) by id.
             matches: Per unavailable module id, its sorted match reports.
             pool: Pool used to feed free inputs during validation.
+            examples_by_id: Every module's data examples; a producer's
+                examples tell which concepts flow along its links.
         """
         self.ctx = ctx
         self.modules_by_id = modules_by_id
         self.matches = matches
+        self.examples_by_id = examples_by_id
         self.enactor = Enactor(ctx, modules_by_id, pool)
 
     # ------------------------------------------------------------------
@@ -183,13 +188,18 @@ class WorkflowRepairer:
                     if ontology.has_realization(c)
                 }
             else:
-                producer = self.modules_by_id[
-                    workflow.step(link.from_step).module_id
-                ]
-                emitted = producer.emitted_concepts.get(link.from_output)
-                if emitted is None:
-                    emitted = (producer.output(link.from_output).concept,)
-                flowing = set(emitted)
+                # Linked input: the concepts the producer's data examples
+                # show on that output, else its annotation.
+                producer_id = workflow.step(link.from_step).module_id
+                flowing = {
+                    binding.value.concept
+                    for example in self.examples_by_id.get(producer_id, ())
+                    for binding in example.outputs
+                    if binding.parameter == link.from_output
+                    and binding.value.concept is not None
+                } or {
+                    self.modules_by_id[producer_id].output(link.from_output).concept
+                }
             agreed = {
                 c
                 for c in flowing

@@ -52,23 +52,16 @@ from repro.values import TypedValue
 
 @dataclass(frozen=True)
 class ConformancePolicy:
-    """Tuning knobs of one conformance checker.
+    """The nondeterminism probe's knobs.  Arity, structure and semantics
+    are checked on every successful invocation.
 
     Attributes:
-        check_arity: Require output names to match the declared outputs.
-        check_structure: Require each value to feed its declared
-            structural type.
-        check_semantics: Require each value's concept to be subsumed by
-            the declared ontology annotation.
         probe_rate: Fraction in [0, 1] of successful combinations to
             double-invoke for nondeterminism (0 disables the probe).
         probe_seed: Seed mixed into the content hash that selects which
             combinations are probed.
     """
 
-    check_arity: bool = True
-    check_structure: bool = True
-    check_semantics: bool = True
     probe_rate: float = 0.0
     probe_seed: int = 2014
 
@@ -134,7 +127,7 @@ class ConformingInvoker:
     ) -> None:
         """Args:
             inner: The invoker whose outputs to validate.
-            policy: What to check and how often to probe.
+            policy: How often to probe.
             on_violation: Called as ``(module, error)`` for every
                 violation, probe mismatches included (telemetry hook).
         """
@@ -202,8 +195,7 @@ class ConformingInvoker:
     def _validate(
         self, module: Module, ctx: ModuleContext, outputs: dict[str, TypedValue]
     ) -> None:
-        policy = self.policy
-        if policy.check_arity and not _same_names(module.outputs, outputs):
+        if not _same_names(module.outputs, outputs):
             declared = {p.name for p in module.outputs}
             self._fail(
                 module,
@@ -218,7 +210,7 @@ class ConformingInvoker:
             value = outputs.get(parameter.name)
             if value is None:
                 continue  # absence already booked as an arity violation
-            if policy.check_structure and not value.feeds(parameter.structural):
+            if not value.feeds(parameter.structural):
                 self._fail(
                     module,
                     "structure",
@@ -228,7 +220,7 @@ class ConformingInvoker:
                         outputs=outputs,
                     ),
                 )
-            if policy.check_semantics and value.concept is not None:
+            if value.concept is not None:
                 ontology = ctx.ontology
                 if value.concept not in ontology or not ontology.subsumes(
                     parameter.concept, value.concept

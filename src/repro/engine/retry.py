@@ -37,8 +37,8 @@ class RetryPolicy:
 
     Attributes:
         max_attempts: Total attempts per call (1 = no retry).
-        base_delay: Backoff before the first retry, in seconds.
-        multiplier: Exponential backoff factor between retries.
+        base_delay: Backoff before the first retry, in seconds; each
+            further retry doubles it.
         jitter: Fractional jitter applied to each delay (0.1 = ±10%),
             drawn from a seeded RNG so schedules are reproducible.
         deadline: Per-call wall-clock budget in seconds (``None`` = no
@@ -49,7 +49,6 @@ class RetryPolicy:
 
     max_attempts: int = 3
     base_delay: float = 0.05
-    multiplier: float = 2.0
     jitter: float = 0.1
     deadline: "float | None" = None
     seed: int = 2014
@@ -62,7 +61,7 @@ class RetryPolicy:
 
     def delay_before(self, retry_index: int, rng: random.Random) -> float:
         """Backoff before the ``retry_index``-th retry (0-based)."""
-        delay = self.base_delay * self.multiplier ** retry_index
+        delay = self.base_delay * 2.0 ** retry_index
         if self.jitter:
             delay *= 1.0 + self.jitter * rng.uniform(-1.0, 1.0)
         return max(delay, 0.0)

@@ -74,6 +74,16 @@ class ExperimentSetup:
         return {m.module_id: m for m in self.catalog + self.decayed}
 
     @property
+    def examples_by_id(self) -> dict[str, list]:
+        """Every module's data examples: the catalog's generated ones and
+        the decayed modules' pre-decay ones."""
+        examples = {
+            module_id: report.examples for module_id, report in self.reports.items()
+        }
+        examples.update(self.decayed_examples)
+        return examples
+
+    @property
     def engine(self) -> InvocationEngine:
         """The invocation engine every generation call flowed through."""
         return self.generator.engine
@@ -152,7 +162,8 @@ class ExperimentSetup:
         """Repair results over every broken workflow."""
         if self._repairs is None:
             repairer = WorkflowRepairer(
-                self.ctx, self.modules_by_id, self.matches, self.pool
+                self.ctx, self.modules_by_id, self.matches, self.pool,
+                self.examples_by_id,
             )
             broken = broken_workflows(self.repository.workflows, self.modules_by_id)
             self._repairs = repairer.repair_all(broken, self.historical_traces)

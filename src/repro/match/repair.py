@@ -76,9 +76,11 @@ class IndexedRepairPlanner:
     Args:
         ctx: The module context.
         modules_by_id: Every module (available and decayed) by id.
-        examples_by_id: Each decayed module's pre-decay data examples —
-            §6: they can only come from provenance recorded while the
-            module was still invocable.
+        examples_by_id: Every module's data examples.  A decayed
+            module's are its pre-decay ones — §6: they can only come from
+            provenance recorded while the module was still invocable.
+            The matcher reads the decayed modules'; the repairer reads
+            each producer's to tell what flows along its links.
         index: The populated signature index over the available catalog.
         pool: The instance pool used to feed free inputs during repair
             validation (anything with ``get_instance``).
@@ -102,6 +104,7 @@ class IndexedRepairPlanner:
     ) -> None:
         self.ctx = ctx
         self.modules_by_id = modules_by_id
+        self.examples_by_id = examples_by_id
         self.pool = pool
         self.health = health
         self.quarantine = quarantine
@@ -138,7 +141,8 @@ class IndexedRepairPlanner:
         plan.matches = run.matches
         plan.accounting = run.accounting
         repairer = WorkflowRepairer(
-            self.ctx, self.modules_by_id, run.matches, self.pool
+            self.ctx, self.modules_by_id, run.matches, self.pool,
+            self.examples_by_id,
         )
         broken = broken_workflows(workflows, self.modules_by_id)
         plan.results = repairer.repair_all(broken, historical or {})

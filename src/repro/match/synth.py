@@ -58,6 +58,13 @@ LEAF_CONCEPTS = ("SynthGeneId", "SynthProteinId", "SynthCompoundId")
 #: Member roles, cycled within each family after the base module.
 _ROLE_CYCLE = ("equivalent", "renamed", "variant", "equivalent", "relaxed", "variant")
 
+#: Members per behavior family (the last family may be smaller).
+FAMILY_SIZE = 8
+
+#: Provider names modules are spread over (decay shuts providers down,
+#: not individual modules).
+N_PROVIDERS = 20
+
 
 def synthetic_ontology() -> Ontology:
     """The tiny annotation ontology of the synthetic world."""
@@ -92,24 +99,18 @@ class SyntheticCatalogConfig:
     Attributes:
         seed: Master seed; every derived choice is keyed off it.
         n_modules: Catalog size.
-        family_size: Members per behavior family (the last family may
-            be smaller).
         pool_size: Payloads in each family's shared input pool.
         examples_per_module: Example inputs each module samples from
             its family pool; must exceed ``pool_size / 2`` so any two
             family members share an input by pigeonhole.
-        n_providers: Provider names modules are spread over (decay
-            shuts providers down, not individual modules).
         n_workflows: Seeded workflow chains in the repository.
         chain_min / chain_max: Chain length bounds.
     """
 
     seed: int = 2014
     n_modules: int = 200
-    family_size: int = 8
     pool_size: int = 8
     examples_per_module: int = 5
-    n_providers: int = 20
     n_workflows: int = 60
     chain_min: int = 2
     chain_max: int = 4
@@ -117,8 +118,6 @@ class SyntheticCatalogConfig:
     def __post_init__(self) -> None:
         if self.n_modules <= 0:
             raise ValueError("n_modules must be positive")
-        if self.family_size <= 0:
-            raise ValueError("family_size must be positive")
         if not 0 < self.examples_per_module <= self.pool_size:
             raise ValueError(
                 "examples_per_module must be in (0, pool_size] "
@@ -200,7 +199,7 @@ def build_synthetic_catalog(
     """Generate the synthetic world for ``config`` (fully deterministic)."""
     ontology = synthetic_ontology()
     ctx = ModuleContext(universe=None, ontology=ontology)
-    n_families = (config.n_modules + config.family_size - 1) // config.family_size
+    n_families = (config.n_modules + FAMILY_SIZE - 1) // FAMILY_SIZE
 
     modules: "list[Module]" = []
     examples_by_id: "dict[str, list[DataExample]]" = {}
@@ -208,7 +207,7 @@ def build_synthetic_catalog(
     role_of: "dict[str, str]" = {}
 
     for family in range(n_families):
-        members = min(config.family_size, config.n_modules - len(modules))
+        members = min(FAMILY_SIZE, config.n_modules - len(modules))
         concept = LEAF_CONCEPTS[family % len(LEAF_CONCEPTS)]
         pool = [f"synth:{family}:{j}" for j in range(config.pool_size)]
         variant_counter = 0
@@ -265,12 +264,11 @@ def _build_member(
         name=f"Synthetic {concept} mapper {family}/{member}",
         category=Category.MAPPING_IDENTIFIERS,
         interface=InterfaceKind.LOCAL_PROGRAM,
-        provider=f"synth-provider-{rng.randrange(config.n_providers):03d}",
+        provider=f"synth-provider-{rng.randrange(N_PROVIDERS):03d}",
         inputs=(Parameter(name=in_name, structural=STRING, concept=in_concept),),
         outputs=(Parameter(name=out_name, structural=STRING, concept=out_concept),),
         behavior=BehaviorSpec.single("map", transform),
         popularity=rng.choice((1, 1, 1, 2, 3, 5)),
-        emitted_concepts={out_name: (concept,)},
     )
 
     sampled = rng.sample(pool, config.examples_per_module)

@@ -123,7 +123,6 @@ def _sequence_op_row(
         provider=provider,
         legible=legible,
         popularity=popularity,
-        emitted_concepts={"result": (dst_concept,)},
     )
 
 
@@ -178,7 +177,6 @@ def build_analysis_modules():
             provider="Manchester-lab",
             popularity=4,
             legible=False,
-            emitted_concepts={"accession": ("UniProtAccession",)},
         )
     )
 
@@ -212,7 +210,6 @@ def build_analysis_modules():
             provider="EBI",
             popularity=4,
             legible=False,
-            emitted_concepts={"report": ("HomologySearchReport",)},
         )
     )
 
@@ -239,7 +236,6 @@ def build_analysis_modules():
             provider=provider,
             popularity=popularity,
             legible=False,
-            emitted_concepts={"report": (emitted,)},
         )
 
     rows.append(blast_row("an.blastp", "BlastPSearch", "ProteinSequence", "EBI",
@@ -277,7 +273,6 @@ def build_analysis_modules():
             ),
             provider=provider,
             legible=False,
-            emitted_concepts={"alignment": ("PairwiseAlignmentReport",)},
         )
 
     rows.append(pairwise_row("an.smith_waterman", "SmithWatermanAlign", "EBI",
@@ -312,7 +307,6 @@ def build_analysis_modules():
             ),
             provider=provider,
             legible=False,
-            emitted_concepts={"alignment": ("MultipleAlignmentReport",)},
         )
 
     rows.append(multiple_row("an.clustal", "ClustalMultiple", "EBI"))
@@ -342,7 +336,6 @@ def build_analysis_modules():
             ),
             provider="EBI",
             legible=False,
-            emitted_concepts={"tree": ("PhylogeneticTree",)},
         )
     )
 
@@ -367,7 +360,6 @@ def build_analysis_modules():
             ),
             provider="Manchester-lab",
             legible=False,
-            emitted_concepts={"tree": ("PhylogeneticTree",)},
         )
     )
 
@@ -394,7 +386,6 @@ def build_analysis_modules():
             ),
             provider=provider,
             legible=False,
-            emitted_concepts={"report": ("MotifSearchReport",)},
         )
 
     rows.append(motif_row("an.motif_scan", "MotifScanProtein", "EBI",
@@ -433,7 +424,6 @@ def build_analysis_modules():
             ),
             provider="Manchester-lab",
             legible=False,
-            emitted_concepts={"orfs": ("ProteinSequence",)},
         )
     )
 
@@ -455,7 +445,6 @@ def build_analysis_modules():
             ),
             provider="ExPASy",
             legible=False,
-            emitted_concepts={"masses": ("PeptideMassList",)},
         )
     )
 
@@ -476,7 +465,6 @@ def build_analysis_modules():
             ),
             provider=provider,
             legible=False,
-            emitted_concepts={"report": ("SequenceStatisticsReport",)},
         )
 
     rows.append(stats_row("an.protein_stats", "ProteinStats", "ProteinSequence",
@@ -511,7 +499,6 @@ def build_analysis_modules():
             ),
             provider="EBI",
             legible=False,
-            emitted_concepts={"report": ("SequenceStatisticsReport",)},
         )
     )
 
@@ -541,7 +528,6 @@ def build_analysis_modules():
             ),
             provider="ExPASy",
             legible=False,
-            emitted_concepts={"report": ("SequenceStatisticsReport",)},
         )
     )
 
@@ -573,7 +559,6 @@ def build_analysis_modules():
             ),
             provider="Manchester-lab",
             legible=False,
-            emitted_concepts={"concepts": ("PathwayConceptSet",)},
         )
     )
 
@@ -602,7 +587,6 @@ def build_analysis_modules():
             ),
             provider="Manchester-lab",
             legible=False,
-            emitted_concepts={"keywords": ("KeywordSet",)},
         )
     )
 
@@ -634,7 +618,6 @@ def build_analysis_modules():
             ),
             provider="NCBI",
             legible=False,
-            emitted_concepts={"proteins": ("UniProtAccession",)},
         )
     )
 
@@ -656,7 +639,6 @@ def build_analysis_modules():
             ),
             provider="Manchester-lab",
             legible=False,
-            emitted_concepts={"annotations": ("PathwayConceptSet",)},
         )
     )
 
@@ -684,7 +666,6 @@ def build_analysis_modules():
             ),
             provider="GO",
             legible=False,
-            emitted_concepts={"annotations": ("GOAnnotationSet",)},
         )
     )
 
@@ -716,7 +697,6 @@ def build_analysis_modules():
             ),
             provider=provider,
             legible=False,
-            emitted_concepts={"result": (output_concept,)},
         )
 
     def cluster_expression(table: str) -> str:
@@ -794,7 +774,6 @@ def build_analysis_modules():
             branches=branches,
             provider=provider,
             legible=False,
-            emitted_concepts={"report": ("MotifSearchReport",)},
         )
 
     def motif_profile(kind, sequence):
@@ -870,7 +849,6 @@ def build_analysis_modules():
             ),
             provider=provider,
             legible=False,
-            emitted_concepts={"value": ("ScoreThreshold",)},
         )
 
     rows.append(two_class_row("an.molecular_weight", "ComputeMolecularWeight",
@@ -904,7 +882,6 @@ def build_analysis_modules():
             ),
             provider=provider,
             legible=legible,
-            emitted_concepts={"result": ("ScoreThreshold",)},
         )
 
     # 4 modules at 1/3 (NucleotideSequence: 3 partitions, 1 class)
@@ -969,7 +946,6 @@ def build_analysis_modules():
             branches=(Branch(f"{name}-score", guard, transform),),
             provider=provider,
             legible=False,
-            emitted_concepts={"score": ("ScoreThreshold",)},
         )
 
     rows.append(organism_seq_row("an.codon_usage_bias", "CodonUsageBias",

@@ -14,7 +14,7 @@ entities and unsupported input kinds with abnormal termination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.biodb.accessions import scheme_for
 from repro.biodb.sequences import classify_sequence
@@ -38,7 +38,6 @@ class ModuleRow:
     interface: InterfaceKind | None = None
     popularity: int = 1
     legible: bool = True
-    emitted_concepts: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
 def assemble(
@@ -96,7 +95,6 @@ def assemble(
                 behavior=BehaviorSpec(row.branches),
                 popularity=row.popularity,
                 legible=row.legible,
-                emitted_concepts=row.emitted_concepts,
             )
         )
     return modules

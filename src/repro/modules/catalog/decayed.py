@@ -100,7 +100,6 @@ def _twin(base: Module, suffix: str = "_s") -> Module:
         behavior=base.behavior,
         popularity=base.popularity,
         legible=base.legible,
-        emitted_concepts=dict(base.emitted_concepts),
     )
 
 
@@ -142,7 +141,6 @@ def _legacy_variant(base: Module, new_id: str, name: str, disagree, provider: st
         behavior=BehaviorSpec(tuple(wrap(b) for b in base.behavior.branches)),
         popularity=1,
         legible=base.legible,
-        emitted_concepts=dict(base.emitted_concepts),
     )
 
 
@@ -194,7 +192,6 @@ def _narrow_retrieval(module_id, name, concept, kind) -> Module:
             )
         ),
         popularity=2,
-        emitted_concepts={"sequence": (emitted,)},
     )
 
 
@@ -232,7 +229,6 @@ def _orphans() -> list[Module]:
             ),
             popularity=3,
             legible=False,
-            emitted_concepts={"homologs": ("UniProtAccession",)},
         )
     )
 
@@ -276,7 +272,6 @@ def _orphans() -> list[Module]:
                 )
             ),
             legible=False,
-            emitted_concepts={"report": ("HomologySearchReport",)},
         )
     )
 
@@ -315,7 +310,6 @@ def _orphans() -> list[Module]:
                 )
             ),
             legible=False,
-            emitted_concepts={"report": ("IdentificationReport",)},
         )
     )
 
@@ -347,7 +341,6 @@ def _orphans() -> list[Module]:
                 )
             ),
             legible=False,
-            emitted_concepts={"orfs": ("ProteinSequence",)},
         )
     )
 
@@ -411,7 +404,6 @@ def _orphans() -> list[Module]:
                     )
                 ),
                 legible=False,
-                emitted_concepts={"report": ("ExpressionStatisticsReport",)},
             )
         )
     return orphans

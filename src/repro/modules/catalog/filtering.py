@@ -90,7 +90,6 @@ def _simple_filter_row(
         ),
         provider=provider,
         legible=legible,
-        emitted_concepts={"filtered": (item_concept,)},
     )
 
 
@@ -154,7 +153,6 @@ def _per_kind_filter_row(
         branches=tuple(branches),
         provider=provider,
         legible=False,
-        emitted_concepts={"filtered": _NUCLEOTIDE_KINDS},
     )
 
 
@@ -230,7 +228,6 @@ def build_filtering_modules():
             ),
             provider="ExPASy",
             legible=True,
-            emitted_concepts={"filtered": ("PeptideMassList",)},
         )
     )
 
@@ -266,7 +263,6 @@ def build_filtering_modules():
             ),
             provider=provider,
             legible=False,
-            emitted_concepts={"filtered": ("HomologySearchReport",)},
         )
 
     def score_keep(line: str, threshold: float) -> bool:
@@ -308,7 +304,6 @@ def build_filtering_modules():
             ),
             provider="EBI",
             legible=False,
-            emitted_concepts={"filtered": ("MultipleAlignmentReport",)},
         )
     )
 
@@ -344,7 +339,6 @@ def build_filtering_modules():
             ),
             provider="Manchester-lab",
             legible=False,
-            emitted_concepts={"filtered": ("ExpressionMatrix",)},
         )
     )
 
@@ -373,7 +367,6 @@ def build_filtering_modules():
             ),
             provider="GO",
             legible=False,
-            emitted_concepts={"filtered": ("GOAnnotationSet",)},
         )
     )
 
@@ -397,7 +390,6 @@ def build_filtering_modules():
             ),
             provider="Manchester-lab",
             legible=False,
-            emitted_concepts={"filtered": ("Abstract",)},
         )
     )
 
@@ -428,7 +420,6 @@ def build_filtering_modules():
             ),
             provider="KEGG-mirror",
             legible=False,
-            emitted_concepts={"filtered": ("KEGGGeneId",)},
         )
     )
 
@@ -455,7 +446,6 @@ def build_filtering_modules():
             ),
             provider="PDB",
             legible=False,
-            emitted_concepts={"filtered": ("UniProtAccession",)},
         )
     )
 
@@ -574,7 +564,6 @@ def build_filtering_modules():
             ),
             provider=provider,
             legible=False,
-            emitted_concepts={"filtered": (item_concept,)},
         )
 
     rows.append(

@@ -266,7 +266,6 @@ def _map_row(
         provider=provider,
         interface=interface,
         popularity=popularity,
-        emitted_concepts={"mapped": (dst_concept,)},
     )
 
 
@@ -314,7 +313,6 @@ def _normalizing_map_row(
             ),
         ),
         provider=provider,
-        emitted_concepts={"mapped": (dst_concept,)},
     )
 
 
@@ -375,7 +373,6 @@ def _link_row(
         interface=interface,
         popularity=popularity,
         legible=True,
-        emitted_concepts={"links": tuple(sorted(set(targets.values())))},
     )
 
 
@@ -408,7 +405,6 @@ def _organism_normalizer_row() -> ModuleRow:
             ),
         ),
         provider="NCBI",
-        emitted_concepts={"mapped": ("NCBITaxonId",)},
     )
 
 
@@ -551,7 +547,6 @@ def build_mapping_modules():
                 ),
             ),
             provider="GO",
-            emitted_concepts={"annotations": ("GOAnnotationSet",)},
         )
     )
 

@@ -156,7 +156,6 @@ def _leaf_retrieval(
         interface=interface,
         popularity=popularity,
         legible=legible,
-        emitted_concepts={"record": (record_concept,)},
     )
 
 
@@ -203,7 +202,6 @@ def _multi_scheme_retrieval(
             ),
         ),
         provider=provider,
-        emitted_concepts={"record": (record_concept,)},
     )
 
 
@@ -249,7 +247,6 @@ def _biological_sequence_row() -> ModuleRow:
         outputs=(Parameter("sequence", STRING, "BiologicalSequence"),),
         branches=tuple(branch_for(c, k) for c, k in _BIOSEQ_SOURCES),
         provider="DDBJ",
-        emitted_concepts={"sequence": ("ProteinSequence", "DNASequence")},
     )
 
 
@@ -403,7 +400,6 @@ def build_retrieval_modules():
             provider=provider,
             interface=interface,
             popularity=popularity,
-            emitted_concepts={"sequence": (emitted,)},
         )
 
     rows.extend(
@@ -449,7 +445,6 @@ def build_retrieval_modules():
                 ),
             ),
             provider="NCBI",
-            emitted_concepts={"text": ("Abstract",)},
         )
     )
 
@@ -475,7 +470,6 @@ def build_retrieval_modules():
                 ),
             ),
             provider="CrossRef",
-            emitted_concepts={"text": ("FullTextDocument",)},
         )
     )
 
@@ -499,7 +493,6 @@ def build_retrieval_modules():
             ),
             provider="KEGG-REST",
             interface=REST,
-            emitted_concepts={"record": ("PathwayRecord",)},
         )
     )
 
@@ -526,7 +519,6 @@ def build_retrieval_modules():
                 ),
             ),
             provider="Ensembl",
-            emitted_concepts={"record": ("NucleotideSequenceRecord",)},
         )
     )
 
@@ -567,7 +559,6 @@ def build_retrieval_modules():
             provider="KEGG-REST",
             interface=REST,
             popularity=5,
-            emitted_concepts={"info": ("FullTextDocument",)},
         )
     )
 

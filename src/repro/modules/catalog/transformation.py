@@ -141,7 +141,6 @@ def _convert_row(
         ),
         provider=provider,
         popularity=popularity,
-        emitted_concepts={"converted": (output_concept or concept,)},
     )
 
 
@@ -185,9 +184,6 @@ def _fasta_utility_row(
             ),
         ),
         provider=provider,
-        emitted_concepts={
-            "converted": ("ProteinSequenceRecord", "NucleotideSequenceRecord")
-        },
     )
 
 
@@ -215,7 +211,6 @@ def _fasta_to_plain_row() -> ModuleRow:
             Branch("strip-fasta-header", text_startswith("record", ">"), transform),
         ),
         provider="Manchester-lab",
-        emitted_concepts={"sequence": ("ProteinSequence", "DNASequence")},
     )
 
 
@@ -350,7 +345,6 @@ def build_transformation_modules():
                 ),
             ),
             provider="EBI",
-            emitted_concepts={"converted": ("MultipleAlignmentReport",)},
         )
     )
 
@@ -377,7 +371,6 @@ def build_transformation_modules():
                 ),
             ),
             provider="Manchester-lab",
-            emitted_concepts={"sequence": ("ProteinSequence",)},
         )
     )
 
@@ -404,7 +397,6 @@ def build_transformation_modules():
                 ),
             ),
             provider="Manchester-lab",
-            emitted_concepts={"record": ("ProteinSequenceRecord",)},
         )
     )
 
@@ -439,7 +431,6 @@ def build_transformation_modules():
                 ),
             ),
             provider="Manchester-lab",
-            emitted_concepts={"converted": ("HomologySearchReport",)},
         )
     )
 

@@ -14,7 +14,7 @@ parameter annotations and calls :meth:`Module.invoke`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.biodb.universe import BioUniverse
 from repro.modules.behavior import BehaviorSpec
@@ -97,9 +97,13 @@ class Module:
         legible: Whether examining data examples reveals the module's
             behavior to a competent human user (drives the §5 study; the
             paper found filtering/complex-analysis modules illegible).
-        emitted_concepts: For documentation & evaluation: the most specific
-            concepts the module actually emits per output parameter; used
-            to explain output-partition shortfalls (§4.3).
+
+    ``behavior`` and ``legible`` are ground truth.  The module runs its
+    ``behavior``; the evaluator (:mod:`repro.core.metrics`) and the
+    simulated §5 users read them.  Generation, matching, repair and
+    enactment do not: they know a module as the paper does, through its
+    annotations and the data examples it produces.  Which concepts an
+    output carries, for instance, is read off those examples.
     """
 
     module_id: str
@@ -113,7 +117,6 @@ class Module:
     available: bool = True
     popularity: int = 1
     legible: bool = True
-    emitted_concepts: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         input_names = [p.name for p in self.inputs]

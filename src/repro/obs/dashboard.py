@@ -148,8 +148,8 @@ def render_dashboard(
         alert_events: Journaled alert history (recording order).
         width: Total frame width.
         workers: Per-shard worker rows of a sharded campaign
-            (:func:`repro.campaign.sharding.worker_rows`), or None for
-            a serial run.
+            (:func:`repro.campaign.sharding.worker_rows`); empty or
+            None for a serial run.
         replicas: Serving-fleet replica rows
             (:meth:`repro.serve.state.ServeStateStore.replica_rows`)
             when the journal also carries fleet state, or None.
@@ -331,16 +331,14 @@ class Dashboard:
         progress = self.journal.progress_counts(self.campaign_id)
         samples = self.journal.snapshots(self.campaign_id)
         alerts = self.journal.alerts(self.campaign_id)
-        workers = None
-        if int((meta.config or {}).get("workers", 1) or 1) > 1:
-            # Imported lazily: obs must not depend on campaign at import
-            # time (campaign imports obs for drift/SLO evaluation).
-            from repro.campaign.sharding import worker_rows
+        # Imported lazily: obs must not depend on campaign at import
+        # time (campaign imports obs for drift/SLO evaluation).
+        from repro.campaign.sharding import worker_rows
 
-            events = self.journal.worker_events(self.campaign_id)
-            workers = worker_rows(
-                self.journal.path, self.campaign_id, meta=meta, events=events
-            )
+        events = self.journal.worker_events(self.campaign_id)
+        workers = worker_rows(
+            self.journal.path, self.campaign_id, meta=meta, events=events
+        )
         replicas = (
             self.journal.processes.rows(REPLICA, FLEET_SCOPE, time.time(), 10.0)
             or None

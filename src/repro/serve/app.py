@@ -313,11 +313,6 @@ class AnnotationServer:
     def draining(self) -> bool:
         return self._draining.is_set()
 
-    @property
-    def active_requests(self) -> int:
-        with self._active_cond:
-            return self._active
-
     def drain(self, timeout: float = 5.0) -> bool:
         """Graceful shutdown: stop accepting, finish in-flight work.
 

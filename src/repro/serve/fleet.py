@@ -54,7 +54,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from repro.serve.app import AnnotationServer, ServeConfig
-from repro.serve.sampling import HTTP_CAMPAIGN_ID
 from repro.serve.service import AnnotationService
 from repro.processlog import FLEET_SCOPE, REPLICA
 from repro.serve.state import ServeStateStore
@@ -325,11 +324,7 @@ class ServeSupervisor:
             from repro.obs.aggregate import MetricsAggregator
             from repro.obs.metrics import MetricsServer
 
-            aggregator = MetricsAggregator(
-                state=self.store,
-                campaign_id=HTTP_CAMPAIGN_ID,
-                wall_clock=self._wall,
-            )
+            aggregator = MetricsAggregator(state=self.store, wall_clock=self._wall)
             self.metrics_server = MetricsServer(
                 aggregator, host=self.host, port=self.fleet.metrics_port
             ).start()

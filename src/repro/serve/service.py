@@ -74,10 +74,6 @@ class AnnotationService:
         latency_ms / fault_rate: Injected provider latency and transient
             failure probability (:class:`~repro.engine.faults.FaultPlan`),
             used by the load harness to shape realistic saturation.
-        cache_size: Engine invocation-cache capacity (``None`` disables).
-        tracing: Record a span tree per invocation; HTTP trace ids join
-            these via ambient span attributes.
-        parallelism: Engine scheduler worker threads.
         state: A :class:`~repro.serve.state.ServeStateStore` making
             registration and memoized reports durable and fleet-shared:
             registrations write through to the journal and are honored
@@ -98,9 +94,6 @@ class AnnotationService:
         watchdog_budget: float = 5.0,
         latency_ms: float = 0.0,
         fault_rate: float = 0.0,
-        cache_size: "int | None" = 4096,
-        tracing: bool = True,
-        parallelism: int = 1,
         state=None,
         kill_at_request: int = 0,
     ) -> None:
@@ -125,13 +118,14 @@ class AnnotationService:
             )
         self.engine = InvocationEngine(
             EngineConfig(
-                parallelism=parallelism,
-                cache_size=cache_size,
+                cache_size=4096,
                 retry=RetryPolicy(seed=seed) if fault_rate > 0 else None,
                 fault_plan=fault_plan,
                 conformance=ConformancePolicy(probe_seed=seed),
                 watchdog=WatchdogPolicy(budget=watchdog_budget),
-                tracing=tracing,
+                # Span trees per invocation: HTTP trace ids join them
+                # through ambient span attributes.
+                tracing=True,
             )
         )
         self.generator = ExampleGenerator(self.ctx, self.pool, engine=self.engine)

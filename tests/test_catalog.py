@@ -44,14 +44,26 @@ class TestPopulation:
             for parameter in module.inputs + module.outputs:
                 assert parameter.concept in ontology, (module.module_id, parameter)
 
-    def test_emitted_concepts_subsumed_by_annotations(self, catalog, ontology):
-        for module in catalog:
-            for name, emitted in module.emitted_concepts.items():
-                annotated = module.output(name).concept
-                for concept in emitted:
-                    assert ontology.subsumes(annotated, concept), (
-                        module.module_id, name, concept,
-                    )
+    def test_example_output_concepts_subsumed_by_annotations(self, setup):
+        """Every concept an output carries in the generated examples of
+        the 252 catalog and 72 decayed modules falls under that output's
+        annotation: what repair reads off a producer's examples never
+        leaves the annotated domain."""
+        setup.repository  # records the decayed modules' pre-decay examples
+        examples_by_id = setup.examples_by_id
+        ontology = setup.ctx.ontology
+        modules = setup.catalog + setup.decayed
+        assert len(modules) == 324
+        for module in modules:
+            examples = examples_by_id[module.module_id]
+            assert examples, module.module_id
+            for example in examples:
+                for binding in example.outputs:
+                    annotated = module.output(binding.parameter).concept
+                    concept = binding.value.concept
+                    assert concept is not None and ontology.subsumes(
+                        annotated, concept
+                    ), (module.module_id, binding.parameter, concept)
 
     def test_paper_named_modules_exist(self, catalog_by_id):
         for module_id, name in (

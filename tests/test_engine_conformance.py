@@ -147,15 +147,6 @@ class TestValidation:
         checker.invoke(module, ctx, good_bindings)
         assert checker.stats.violations == 0
 
-    def test_disabled_checks_tolerate_the_lie(
-        self, module, ctx, good_bindings, honest_outputs
-    ):
-        lying = dict(honest_outputs)
-        del lying[sorted(lying)[-1]]
-        checker = conforming(ScriptedOutputs(lying), check_arity=False)
-        checker.invoke(module, ctx, good_bindings)
-        assert checker.stats.violations == 0
-
     def test_on_violation_hook_fires(self, module, ctx, good_bindings, honest_outputs):
         seen = []
         lying = dict(honest_outputs)

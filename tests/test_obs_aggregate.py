@@ -315,6 +315,75 @@ class TestMetricsAggregator:
         assert 'repro_engine_events_total{event="calls"} 2' in text
 
 
+class TestNoPhantomWorkers:
+    """The serving fleet's ``http-server`` campaign is unsharded, so a
+    scrape shows its replicas and no shard worker."""
+
+    @staticmethod
+    def _fleet_db(store):
+        """What a replica journals: the http-server campaign and its row."""
+        from repro.serve.sampling import HTTP_CAMPAIGN_ID
+
+        store.journal.create(
+            HTTP_CAMPAIGN_ID, 2014, [], config={"kind": "http-server"}
+        )
+        _record_stats(store, 0, {"counters": {"calls": 2}})
+
+    @staticmethod
+    def _assert_replicas_only(snapshot, text):
+        assert "workers" not in snapshot
+        assert snapshot["fleet"]["worker_snapshots"] == 0
+        assert snapshot["fleet"]["replica_snapshots"] == 1
+        assert "repro_campaign_worker_" not in text
+        assert 'repro_engine_events_total{event="calls"} 2' in text
+
+    def test_supervisor_scrape(self, tmp_path, monkeypatch):
+        import sqlite3
+
+        from repro.serve.app import ServeConfig
+        from repro.serve.fleet import FleetConfig, ServeSupervisor
+
+        supervisor = ServeSupervisor(
+            ServeConfig(host="127.0.0.1", port=0, db=str(tmp_path / "f.db")),
+            FleetConfig(replicas=1, metrics_port=0),
+        )
+        # Only the supervisor's own half: no replica process is spawned.
+        monkeypatch.setattr(
+            supervisor._supervisor, "spawn", lambda child, kind: None
+        )
+        try:
+            supervisor.start()
+            self._fleet_db(supervisor.store)
+            aggregator = supervisor.metrics_server.exporter
+            connects = []
+            connect = sqlite3.connect
+            monkeypatch.setattr(
+                sqlite3, "connect",
+                lambda *args, **kwargs: connects.append(args)
+                or connect(*args, **kwargs),
+            )
+            snapshot = aggregator.snapshot()
+            monkeypatch.setattr(sqlite3, "connect", connect)
+            text = aggregator.to_prometheus()
+        finally:
+            supervisor.close()
+        assert connects == []
+        self._assert_replicas_only(snapshot, text)
+
+    def test_fleet_metrics_for_an_unsharded_campaign(self, tmp_path):
+        """``metrics --fleet --campaign`` naming an unsharded campaign."""
+        from repro.serve.sampling import HTTP_CAMPAIGN_ID
+
+        path = tmp_path / "f.db"
+        store = ServeStateStore(path)
+        self._fleet_db(store)
+        store.close()
+        aggregator = MetricsAggregator(db=str(path), campaign_id=HTTP_CAMPAIGN_ID)
+        self._assert_replicas_only(
+            aggregator.snapshot(), aggregator.to_prometheus()
+        )
+
+
 # ----------------------------------------------------------------------
 # merge_stats_snapshots edge cases (the satellite)
 # ----------------------------------------------------------------------

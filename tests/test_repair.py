@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.examples import DataExample
 from repro.core.generation import ExampleGenerator
 from repro.core.matching import MatchKind, find_matches
 from repro.core.repair import RepairOutcome, WorkflowRepairer
@@ -24,7 +25,10 @@ def repair_world(ctx, catalog, catalog_by_id, pool):
     }
     modules = dict(catalog_by_id)
     modules.update({m.module_id: m for m in decayed})
-    repairer = WorkflowRepairer(ctx, modules, matches, pool)
+    # The producers the overlap tests link in front of a decayed step.
+    for module_id in ("map.kegg_to_uniprot", "an.identify"):
+        examples[module_id] = generator.generate(catalog_by_id[module_id]).examples
+    repairer = WorkflowRepairer(ctx, modules, matches, pool, examples)
     return modules, repairer
 
 
@@ -123,6 +127,52 @@ class TestOverlappingRepair:
         result = repairer.repair(workflow)
         assert result.outcome is RepairOutcome.FULL
         assert result.substitutions["s2"][2] is MatchKind.OVERLAPPING
+
+
+    def test_producer_examples_narrower_than_annotation_are_context_safe(
+        self, repair_world
+    ):
+        """an.identify annotates its output ProteinAccession, but its
+        examples carry only UniProt accessions — inside
+        GetProteinRecordOld's agreement domain, which its annotation is
+        not."""
+        _modules, repairer = repair_world
+        examples = repairer.examples_by_id["an.identify"]
+        assert {
+            b.value.concept for e in examples for b in e.outputs
+        } == {"UniProtAccession"}
+        result = repairer.repair(_identify_then_record())
+        assert result.outcome is RepairOutcome.FULL
+        assert result.substitutions["s2"][1] == "ret.get_protein_record"
+        assert result.substitutions["s2"][2] is MatchKind.OVERLAPPING
+
+    def test_producer_without_examples_falls_back_to_annotation(
+        self, ctx, pool, repair_world
+    ):
+        """Without an example on the linked output, the producer's
+        annotation (ProteinAccession) is what flows, and PIR accessions
+        lie outside the agreement domain."""
+        modules, repairer = repair_world
+        examples = dict(repairer.examples_by_id)
+        examples["an.identify"] = [
+            DataExample(e.module_id, e.inputs, ())
+            for e in examples["an.identify"]
+        ]
+        for producer_examples in (examples, {}):
+            bare = WorkflowRepairer(
+                ctx, modules, repairer.matches, pool, producer_examples
+            )
+            result = bare.repair(_identify_then_record())
+            assert result.outcome is RepairOutcome.NONE
+            assert result.unresolved == ["old.get_protein_record"]
+
+
+def _identify_then_record() -> Workflow:
+    return Workflow(
+        "w-identify", "identify then fetch",
+        steps=(Step("s1", "an.identify"), Step("s2", "old.get_protein_record")),
+        links=(DataLink("s1", "accession", "s2", "id"),),
+    )
 
 
 class TestPartialRepair:
