@@ -85,7 +85,11 @@ bench-obs:
 # scan, the compiled accession guards) against the formulas they
 # replaced; then §6 repair, which reads what flows along a link off the
 # producer's data examples, and the guard that core/, match/ and
-# workflow/ read no ground-truth module field.
+# workflow/ read no ground-truth module field; then enactment, which
+# repair validates by: its provenance, the differential that traces
+# through a caching engine equal traces through the bare round trip,
+# and the guard that nothing under src/repro/ but the engine's
+# DirectInvoker calls invoke_via_interface.
 # The CI job then runs a downsized benchmark writing to a temp file
 # (the committed BENCH_match.json stays untouched).
 match-smoke:
@@ -97,7 +101,9 @@ match-smoke:
 		tests/test_wire_encoding.py tests/test_engine_telemetry.py \
 		tests/test_engine_cache_model.py tests/test_structural_lookup.py \
 		tests/test_matching_equality.py tests/test_wire_fastpaths.py \
-		tests/test_repair.py tests/test_ground_truth_guard.py
+		tests/test_repair.py tests/test_ground_truth_guard.py \
+		tests/test_enactment_provenance.py \
+		tests/test_enactment_differential.py tests/test_invocation_guard.py
 
 # Benchmark smoke (the CI match-smoke job): every perfbench workload for
 # one second untraced, then synth-match once traced, so a wrong output

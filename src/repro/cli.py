@@ -124,7 +124,8 @@ def cmd_match_candidates(args: argparse.Namespace) -> int:
     ctx, catalog, pool = _world(args.seed)
     decayed = build_decayed_modules()
     module = _find_module(args.module_id, decayed)
-    examples = ExampleGenerator(ctx, pool).generate(module).examples
+    generator = ExampleGenerator(ctx, pool)
+    examples = generator.generate(module).examples
     shut_down_providers(decayed, DECAYED_PROVIDERS)
     if args.db and not args.exhaustive:
         from repro.campaign.journal import CampaignJournal
@@ -133,7 +134,8 @@ def cmd_match_candidates(args: argparse.Namespace) -> int:
         index = load_index(CampaignJournal(args.db), args.campaign)
         modules_by_id = {m.module_id: m for m in list(catalog) + decayed}
         matcher = CandidateMatcher(
-            ctx, modules_by_id, {module.module_id: examples}, index
+            ctx, modules_by_id, {module.module_id: examples}, index,
+            engine=generator.engine,
         )
         accounting = MatchAccounting(n_queries=1, n_catalog=len(index))
         accounting.exhaustive_pairs = len(index) - (
@@ -144,7 +146,9 @@ def cmd_match_candidates(args: argparse.Namespace) -> int:
               f"{accounting.exhaustive_pairs} catalog modules "
               f"({accounting.pruning_ratio:.0%} pruned)")
     else:
-        reports = find_matches(ctx, module, examples, catalog)
+        reports = find_matches(
+            ctx, module, examples, catalog, invoker=generator.engine
+        )
     if not reports:
         print("no candidate shares a compatible signature")
         return 1
@@ -280,8 +284,9 @@ def cmd_match_repair(args: argparse.Namespace) -> int:
 def cmd_suggest(args: argparse.Namespace) -> int:
     ctx, catalog, pool = _world(args.seed)
     module = _find_module(args.module_id, catalog)
-    examples = ExampleGenerator(ctx, pool).generate(module).examples
-    advisor = CompositionAdvisor(ctx, catalog, pool)
+    generator = ExampleGenerator(ctx, pool)
+    examples = generator.generate(module).examples
+    advisor = CompositionAdvisor(ctx, catalog, pool, invoker=generator.engine)
     suggestions = advisor.suggest_successors(module, examples, limit=args.limit)
     for suggestion in suggestions:
         marker = "" if suggestion.annotation_compatible else "  [value-level only]"

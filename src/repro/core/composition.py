@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.examples import DataExample
+from repro.engine.invoker import DirectInvoker, Invoker
 from repro.modules.errors import ModuleInvocationError
-from repro.modules.interfaces import invoke_via_interface
 from repro.modules.model import Module, ModuleContext, Parameter
 from repro.pool.pool import InstancePool
 from repro.values import TypedValue, compatible
@@ -58,6 +58,7 @@ class CompositionAdvisor:
         modules: "list[Module] | tuple[Module, ...]",
         pool: InstancePool,
         semantic_filter: bool = True,
+        invoker: Invoker = DirectInvoker(),
     ) -> None:
         """Args:
             ctx: Execution context.
@@ -67,11 +68,13 @@ class CompositionAdvisor:
                 whose annotation shares a common subsumer with the value's
                 concept *below* the domain root — rejecting accidental
                 acceptances like a record string fed as a database name.
+            invoker: What the verifying invocations go through.
         """
         self.ctx = ctx
         self.modules = [m for m in modules if m.available]
         self.pool = pool
         self.semantic_filter = semantic_filter
+        self.invoker = invoker
 
     def _semantically_plausible(self, value: TypedValue, parameter: Parameter) -> bool:
         if not self.semantic_filter or value.concept is None:
@@ -157,7 +160,7 @@ class CompositionAdvisor:
             if bindings is None:
                 continue
             try:
-                invoke_via_interface(module, self.ctx, bindings)
+                self.invoker.invoke(module, self.ctx, bindings)
             except ModuleInvocationError:
                 continue
             return parameter.name

@@ -28,8 +28,8 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.core.examples import DataExample
+from repro.engine.invoker import DirectInvoker, Invoker
 from repro.modules.errors import ModuleInvocationError
-from repro.modules.interfaces import invoke_via_interface
 from repro.modules.model import Module, ModuleContext
 from repro.ontology.model import Ontology
 from repro.values import compatible
@@ -144,33 +144,27 @@ def compare_behavior(
     examples: "list[DataExample]",
     candidate: Module,
     mapping: ParameterMapping,
-    invoker=None,
+    invoker: Invoker = DirectInvoker(),
 ) -> MatchReport | None:
     """Invoke the candidate on the examples' inputs and classify.
 
     Args:
-        invoker: Optional ``(module, bindings) -> outputs`` callable used
-            to run the candidate — pass an
-            :meth:`repro.engine.invoker.InvocationEngine.invoke` bound
-            method to route the comparison through the resilient engine
-            (cache, retries, watchdog).  Defaults to the bare interface
-            invocation.
+        invoker: What the candidate runs through — pass an
+            :class:`~repro.engine.invoker.InvocationEngine` to route the
+            comparison through its stack (cache, retries, watchdog).  A
+            call that still fails counts as not agreeing.
 
     Returns ``None`` when there are no examples to compare.
     """
     if not examples:
         return None
-    if invoker is None:
-        invoker = lambda module, bindings: invoke_via_interface(  # noqa: E731
-            module, ctx, bindings
-        )
     input_map, output_map = mapping.inputs, mapping.outputs
     agreement_domain: dict[str, set[str]] = {}
     n_agreeing = 0
     for example in examples:
         bindings = {input_map[b.parameter]: b.value for b in example.inputs}
         try:
-            outputs = invoker(candidate, bindings)
+            outputs = invoker.invoke(candidate, ctx, bindings)
         except ModuleInvocationError:
             continue
         # An example agrees when every mapped output is present and its
@@ -208,7 +202,7 @@ def find_matches(
     unavailable: Module,
     examples: "list[DataExample]",
     candidates: "list[Module] | tuple[Module, ...]",
-    invoker=None,
+    invoker: Invoker = DirectInvoker(),
 ) -> "list[MatchReport]":
     """Compare ``unavailable`` against every candidate with a compatible
     signature; equivalents first, then overlaps by agreement count."""

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.core.examples import DataExample
 from repro.core.matching import MatchKind, MatchReport
+from repro.engine.invoker import DirectInvoker, Invoker
 from repro.modules.model import Module, ModuleContext
 from repro.pool.pool import InstancePool
 from repro.workflow.enactment import Enactor
@@ -86,6 +87,7 @@ class WorkflowRepairer:
         matches: dict[str, "list[MatchReport]"],
         pool: InstancePool,
         examples_by_id: "dict[str, list[DataExample]]",
+        invoker: Invoker = DirectInvoker(),
     ) -> None:
         """Args:
             ctx: Execution context.
@@ -94,12 +96,14 @@ class WorkflowRepairer:
             pool: Pool used to feed free inputs during validation.
             examples_by_id: Every module's data examples; a producer's
                 examples tell which concepts flow along its links.
+            invoker: What the validating re-enactment calls modules
+                through.
         """
         self.ctx = ctx
         self.modules_by_id = modules_by_id
         self.matches = matches
         self.examples_by_id = examples_by_id
-        self.enactor = Enactor(ctx, modules_by_id, pool)
+        self.enactor = Enactor(ctx, modules_by_id, pool, invoker)
 
     # ------------------------------------------------------------------
     def repair(

@@ -3,9 +3,10 @@
 The generation heuristic (§3.2–3.3) is invocation-bound — it calls each
 black-box module on the full cross-product of selected input values, and
 §4 runs that over 252 modules.  This package is the single layer those
-calls flow through::
+calls — and every other module call: workflow enactment, §6 matching
+and repair, composition, the served endpoints — flow through::
 
-    generator / bus / experiments
+    generator / enactor / matcher / composition advisor / service
             │
             ▼
     InvocationEngine        telemetry + module health around every call

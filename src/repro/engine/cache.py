@@ -18,7 +18,10 @@ negative entries of a repaired module (or of the whole cache), and a
 ``negative_ttl`` re-opens every rejection for revisiting after it ages
 out.  Positive entries are true functions of the inputs and never expire.
 Availability failures are **not** cached — provider decay (§6) is a
-transient property of the provider, not of the input combination.
+transient property of the provider, not of the input combination — and
+the engine neither consults nor fills the cache for a module whose
+provider has withdrawn it, so a decayed module never answers from what
+it returned while it was supplied.
 """
 
 from __future__ import annotations

@@ -2,9 +2,12 @@
 
 Every module call in the system flows through an :class:`Invoker` — the
 single choke point where caching, retry, fault injection and telemetry
-compose.  Callers (the generation heuristic, the service bus, the
-experiments) never import ``invoke_via_interface`` directly any more;
-they hold an engine and call :meth:`InvocationEngine.invoke`.
+compose.  Callers (the generation heuristic, workflow enactment, §6
+matching and repair, composition, the served endpoints, the
+experiments) hold an invoker — an :class:`InvocationEngine`, or the bare
+:class:`DirectInvoker` where no engine is wanted — and call its
+``invoke``.  :class:`DirectInvoker` is the only caller of
+``invoke_via_interface``.
 
 The stack, innermost first::
 
@@ -76,8 +79,9 @@ class Invoker(Protocol):
 class DirectInvoker:
     """The baseline invoker: one supply-interface round trip, no frills.
 
-    This is exactly the behavior every call site had before the engine
-    existed.
+    Stateless, so one instance serves any number of callers: it is the
+    engine's innermost layer and the default of every caller that takes
+    an :class:`Invoker` but was handed none.
     """
 
     def invoke(
@@ -319,7 +323,10 @@ class InvocationEngine:
         trace_attrs: "dict | None",
     ) -> dict[str, TypedValue]:
         cache = self.cache
-        if cache is not None:
+        # A withdrawn module must answer as withdrawn, not from what it
+        # answered while it was supplied: the cache is neither consulted
+        # nor filled for it.
+        if cache is not None and module.available:
             # canonical_key, inlined: this runs on every engine call.
             key = (module.module_id, bindings_json(bindings))
             outcome = cache.lookup(key)

@@ -48,7 +48,13 @@ from repro.workflow.repository import Repository, RepositoryBuilder, RepositoryC
 
 @dataclass
 class ExperimentSetup:
-    """All artefacts of the reproduction, for one seed."""
+    """All artefacts of the reproduction, for one seed.
+
+    ``generator.engine`` (:attr:`engine`) carries every generation and
+    §6 comparison call; ``enactment_engine``, cached and fault-free,
+    every workflow enactment: the provenance-corpus harvest, the
+    repository build, the historical traces and repair validation.
+    """
 
     seed: int
     ctx: ModuleContext
@@ -59,6 +65,7 @@ class ExperimentSetup:
     reports: dict[str, GenerationReport]
     evaluations: dict[str, ModuleEvaluation]
     registry: ModuleRegistry
+    enactment_engine: InvocationEngine
     decayed: list[Module] = field(default_factory=list)
     decayed_examples: dict[str, list] = field(default_factory=dict)
     _repository: Repository | None = None
@@ -85,7 +92,8 @@ class ExperimentSetup:
 
     @property
     def engine(self) -> InvocationEngine:
-        """The invocation engine every generation call flowed through."""
+        """The invocation engine every generation and §6 comparison
+        call flows through."""
         return self.generator.engine
 
     @property
@@ -119,7 +127,8 @@ class ExperimentSetup:
             self.repository  # ensure decay happened
             self._matches = {
                 m.module_id: find_matches(
-                    self.ctx, m, self.decayed_examples[m.module_id], self.catalog
+                    self.ctx, m, self.decayed_examples[m.module_id], self.catalog,
+                    invoker=self.engine,
                 )
                 for m in self.decayed
             }
@@ -163,7 +172,7 @@ class ExperimentSetup:
         if self._repairs is None:
             repairer = WorkflowRepairer(
                 self.ctx, self.modules_by_id, self.matches, self.pool,
-                self.examples_by_id,
+                self.examples_by_id, self.enactment_engine,
             )
             broken = broken_workflows(self.repository.workflows, self.modules_by_id)
             self._repairs = repairer.repair_all(broken, self.historical_traces)
@@ -177,11 +186,11 @@ class ExperimentSetup:
     def _build_repository_and_decay(self) -> None:
         builder = RepositoryBuilder(
             self.ctx, self.catalog, self.decayed, self.pool,
-            RepositoryConfig(seed=self.seed),
+            RepositoryConfig(seed=self.seed), self.enactment_engine,
         )
         repository = builder.build()
         by_id = self.modules_by_id
-        enactor = Enactor(self.ctx, by_id, self.pool)
+        enactor = Enactor(self.ctx, by_id, self.pool, self.enactment_engine)
         # Pre-decay data examples of the soon-to-decay modules (§6: they
         # can only come from provenance recorded while still invocable).
         self.decayed_examples = {
@@ -224,15 +233,21 @@ def build_setup(
     # bootstrap values were added first, so getInstance keeps preferring
     # them; the harvest genuinely enlarges the pool.
     by_id = {m.module_id: m for m in catalog}
+    # Enactment re-runs the same module on the same values across
+    # workflows (a popular utility sits in hundreds of them): the seed-2014
+    # corpus, repository, historical traces and repairs make ~6.9k calls
+    # on 757 distinct inputs.
+    enactment_engine = InvocationEngine(EngineConfig(cache_size=4096))
     corpus_builder = RepositoryBuilder(
         ctx, catalog, [], pool,
         RepositoryConfig(
             seed=seed + 1, n_healthy=corpus_size, n_equivalent_full=0,
             n_equivalent_partial=0, n_overlap_safe=0, n_unrepairable=0,
         ),
+        enactment_engine,
     )
     corpus = corpus_builder.build()
-    enactor = Enactor(ctx, by_id, pool)
+    enactor = Enactor(ctx, by_id, pool, enactment_engine)
     traces = [enactor.try_enact(w) for w in corpus.workflows]
     n_harvested = pool.harvest(traces)
 
@@ -262,6 +277,7 @@ def build_setup(
         reports=reports,
         evaluations=evaluations,
         registry=registry,
+        enactment_engine=enactment_engine,
         decayed=decayed,
     )
 

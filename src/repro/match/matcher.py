@@ -28,10 +28,23 @@ from repro.core.matching import (
     compare_behavior,
     map_parameters,
 )
+from repro.engine.invoker import DirectInvoker, Invoker
 from repro.match.index import IndexedModule, SignatureIndex
 from repro.modules.model import Module, ModuleContext
 
 _ORDER = {"equivalent": 0, "overlapping": 1, "disjoint": 2}
+
+
+class _CountingInvoker:
+    """Forwards every call to ``inner`` and counts it."""
+
+    def __init__(self, inner: Invoker) -> None:
+        self.inner = inner
+        self.calls = 0
+
+    def invoke(self, module, ctx, bindings):
+        self.calls += 1
+        return self.inner.invoke(module, ctx, bindings)
 
 
 @dataclass
@@ -99,10 +112,9 @@ class CandidateMatcher:
             the candidates are invoked on).
         index: The populated signature index over the *catalog* (the
             available replacement candidates).
-        engine: Optional invocation engine; candidate invocations then
-            flow through its full resilience stack (cache, retries,
-            watchdog) and are visible in its telemetry.  Without one,
-            the bare supply interface is called.
+        engine: The invoker candidate invocations flow through — an
+            :class:`~repro.engine.invoker.InvocationEngine` brings its
+            stack (cache, retries, watchdog) and telemetry.
     """
 
     def __init__(
@@ -111,28 +123,13 @@ class CandidateMatcher:
         modules_by_id: "dict[str, Module]",
         examples_by_id: "dict[str, list[DataExample]]",
         index: SignatureIndex,
-        engine=None,
+        engine: Invoker = DirectInvoker(),
     ) -> None:
         self.ctx = ctx
         self.modules_by_id = modules_by_id
         self.examples_by_id = examples_by_id
         self.index = index
-        self.engine = engine
-        self._invocations = 0
-
-    # ------------------------------------------------------------------
-    def _invoker(self):
-        engine = self.engine
-
-        def call(module, bindings):
-            self._invocations += 1
-            if engine is not None:
-                return engine.invoke(module, self.ctx, bindings)
-            from repro.modules.interfaces import invoke_via_interface
-
-            return invoke_via_interface(module, self.ctx, bindings)
-
-        return call
+        self._invoker = _CountingInvoker(engine)
 
     def _query_entry(self, module: Module) -> IndexedModule:
         """The query's index entry — reused when indexed, sketched on
@@ -159,7 +156,7 @@ class CandidateMatcher:
         then by agreement count, then candidate id)."""
         module = self.modules_by_id[module_id]
         examples = self.examples_by_id.get(module_id, [])
-        invoker = self._invoker()
+        invoker = self._invoker
         reports: "list[MatchReport]" = []
         for candidate_id in self.candidate_ids(module_id):
             if accounting is not None:
@@ -199,12 +196,12 @@ class CandidateMatcher:
             accounting.exhaustive_pairs += n_catalog - (
                 1 if module_id in self.index else 0
             )
-        before = self._invocations
+        before = self._invoker.calls
         matches = {
             module_id: self.match_module(module_id, accounting)
             for module_id in query_ids
         }
-        accounting.invocations = self._invocations - before
+        accounting.invocations = self._invoker.calls - before
         return MatchRun(matches=matches, accounting=accounting)
 
 
@@ -213,7 +210,7 @@ def exhaustive_match_all(
     queries: "list[Module]",
     examples_by_id: "dict[str, list[DataExample]]",
     catalog: "list[Module] | tuple[Module, ...]",
-    engine=None,
+    engine: Invoker = DirectInvoker(),
 ) -> MatchRun:
     """The unpruned baseline: every query against every catalog module.
 
@@ -221,17 +218,7 @@ def exhaustive_match_all(
     missing.  Used by the exactness property test and the benchmark.
     """
     accounting = MatchAccounting(n_queries=len(queries), n_catalog=len(catalog))
-    invocations = 0
-
-    def invoker(module, bindings):
-        nonlocal invocations
-        invocations += 1
-        if engine is not None:
-            return engine.invoke(module, ctx, bindings)
-        from repro.modules.interfaces import invoke_via_interface
-
-        return invoke_via_interface(module, ctx, bindings)
-
+    invoker = _CountingInvoker(engine)
     matches: "dict[str, list[MatchReport]]" = {}
     for query in queries:
         examples = examples_by_id.get(query.module_id, [])
@@ -256,7 +243,7 @@ def exhaustive_match_all(
             key=lambda r: (_ORDER[r.kind.value], -r.n_agreeing, r.candidate_id)
         )
         matches[query.module_id] = reports
-    accounting.invocations = invocations
+    accounting.invocations = invoker.calls
     return MatchRun(matches=matches, accounting=accounting)
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.repair import RepairOutcome, RepairResult, WorkflowRepairer
+from repro.engine.invoker import DirectInvoker, Invoker
 from repro.match.index import SignatureIndex
 from repro.match.matcher import CandidateMatcher, MatchAccounting
 from repro.workflow.decay import broken_workflows
@@ -84,7 +85,8 @@ class IndexedRepairPlanner:
         index: The populated signature index over the available catalog.
         pool: The instance pool used to feed free inputs during repair
             validation (anything with ``get_instance``).
-        engine: Optional invocation engine for the exact comparisons.
+        engine: The invoker the exact comparisons and the repairer's
+            validating re-enactments go through.
         health / quarantine / alerts: Optional decay-detection signals,
             passed through to
             :func:`repro.workflow.monitoring.analyze_decay`.
@@ -97,7 +99,7 @@ class IndexedRepairPlanner:
         examples_by_id: dict,
         index: SignatureIndex,
         pool,
-        engine=None,
+        engine: Invoker = DirectInvoker(),
         health=None,
         quarantine=None,
         alerts=None,
@@ -106,6 +108,7 @@ class IndexedRepairPlanner:
         self.modules_by_id = modules_by_id
         self.examples_by_id = examples_by_id
         self.pool = pool
+        self.engine = engine
         self.health = health
         self.quarantine = quarantine
         self.alerts = alerts
@@ -142,7 +145,7 @@ class IndexedRepairPlanner:
         plan.accounting = run.accounting
         repairer = WorkflowRepairer(
             self.ctx, self.modules_by_id, run.matches, self.pool,
-            self.examples_by_id,
+            self.examples_by_id, self.engine,
         )
         broken = broken_workflows(workflows, self.modules_by_id)
         plan.results = repairer.repair_all(broken, historical or {})

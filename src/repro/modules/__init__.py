@@ -1,4 +1,10 @@
-"""Scientific module model, supply interfaces and the module catalog."""
+"""Scientific module model, supply interfaces and the module catalog.
+
+The service bus (:mod:`repro.modules.hosting`) is not re-exported: it
+calls through :mod:`repro.engine`, which imports this package's errors
+and model, so importing it here would make the two packages' import
+order matter.
+"""
 
 from repro.modules.behavior import BehaviorSpec, Branch
 from repro.modules.errors import (
@@ -9,8 +15,6 @@ from repro.modules.errors import (
     SoapFault,
     TransportError,
 )
-from repro.modules.hosting import CallRecord, ServiceBus, address_of
-from repro.modules.interfaces import invoke_via_interface
 from repro.modules.model import (
     Category,
     InterfaceKind,
@@ -27,10 +31,6 @@ __all__ = [
     "InterfaceKind",
     "BehaviorSpec",
     "Branch",
-    "invoke_via_interface",
-    "ServiceBus",
-    "CallRecord",
-    "address_of",
     "ModuleInvocationError",
     "InvalidInputError",
     "ModuleUnavailableError",

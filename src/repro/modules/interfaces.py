@@ -337,9 +337,10 @@ def invoke_via_interface(
     """Invoke ``module`` through its declared supply interface, normalizing
     transport faults back into the module error hierarchy.
 
-    This is the call every client of the system (the generation heuristic,
-    the workflow enactment engine, the matcher) goes through: values really
-    are serialized onto the wire and back.
+    This is the innermost call of every module invocation in the system:
+    :class:`repro.engine.invoker.DirectInvoker` is its one caller, at the
+    bottom of every :class:`~repro.engine.invoker.InvocationEngine`
+    stack.  Values really are serialized onto the wire and back.
 
     Raises:
         InvalidInputError: Abnormal termination (client fault / 4xx / exit 2).

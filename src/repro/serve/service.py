@@ -17,7 +17,8 @@ ontology, instance pool) plus a resilient
     request.
 ``match(module_id)``
     §6 pairwise behavior comparison of the module's examples against
-    every available catalog candidate.
+    every available catalog candidate, each candidate call through the
+    same engine.
 
 Everything here is transport-agnostic and thread-safe — the generator
 and every engine layer already tolerate concurrent callers — so the
@@ -253,10 +254,17 @@ class AnnotationService:
         }
 
     def match(self, module_id: str) -> dict:
-        """§6 behavior comparison against every available candidate."""
+        """§6 behavior comparison against every available candidate.
+
+        Candidate calls go through the engine, so the watchdog, the
+        request deadline, the fault plan, the cache and telemetry all
+        apply; a call that still fails counts as not agreeing.
+        """
         module = self._registered_module(module_id)
         examples = self._report(module_id)[0].examples
-        reports = find_matches(self.ctx, module, examples, self.catalog)
+        reports = find_matches(
+            self.ctx, module, examples, self.catalog, invoker=self.engine
+        )
         return {
             "module_id": module_id,
             "n_examples": len(examples),

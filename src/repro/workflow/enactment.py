@@ -8,6 +8,11 @@ Free inputs are fed with the first pool realization (per the partition
 order of the input's annotation) that lets the invocation terminate
 normally, mirroring how real workflows are run with curated sample
 inputs.
+
+Every step runs through an :class:`~repro.engine.invoker.Invoker`.  A
+caching engine keeps the two failure outcomes apart: an unavailable
+module is never cached, so it still stops the step, and a replayed
+rejection still moves the step on to the next value combination.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ import itertools
 
 from repro.core.examples import Binding
 from repro.core.partitioning import parameter_partitions
+from repro.engine.invoker import DirectInvoker, Invoker
 from repro.modules.errors import ModuleInvocationError, ModuleUnavailableError
-from repro.modules.interfaces import invoke_via_interface
 from repro.modules.model import Module, ModuleContext
 from repro.pool.pool import InstancePool
 from repro.values import TypedValue
@@ -34,17 +39,20 @@ class EnactmentError(RuntimeError):
 
 
 class Enactor:
-    """Runs workflows against a module registry, pool and context."""
+    """Runs workflows against a module registry, pool and context, calling
+    every module through ``invoker``."""
 
     def __init__(
         self,
         ctx: ModuleContext,
         modules: dict[str, Module],
         pool: InstancePool,
+        invoker: Invoker = DirectInvoker(),
     ) -> None:
         self.ctx = ctx
         self.modules = modules
         self.pool = pool
+        self.invoker = invoker
 
     # ------------------------------------------------------------------
     def enact(self, workflow: Workflow) -> ProvenanceTrace:
@@ -118,7 +126,7 @@ class Enactor:
             if len(bindings) != len(module.inputs):
                 break
             try:
-                outputs = invoke_via_interface(module, self.ctx, bindings)
+                outputs = self.invoker.invoke(module, self.ctx, bindings)
             except ModuleUnavailableError:
                 # The provider is gone: no value combination can help.
                 break

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from repro.engine.invoker import DirectInvoker, Invoker
 from repro.modules.catalog.decayed import (
     CONTEXT_SAFE_OVERLAP_IDS,
     EQUIVALENT_TWIN_BASES,
@@ -81,7 +82,8 @@ _OVERLAP_SAFE_CHAINS: tuple[tuple[str, str, str, str | None], ...] = (
 
 
 class RepositoryBuilder:
-    """Builds a seeded, enactment-validated repository."""
+    """Builds a seeded, enactment-validated repository; its enactor calls
+    every module through ``invoker``."""
 
     def __init__(
         self,
@@ -90,6 +92,7 @@ class RepositoryBuilder:
         decayed: "list[Module] | tuple[Module, ...]",
         pool: InstancePool,
         config: RepositoryConfig | None = None,
+        invoker: Invoker = DirectInvoker(),
     ) -> None:
         self.ctx = ctx
         self.config = config or RepositoryConfig()
@@ -97,7 +100,7 @@ class RepositoryBuilder:
         self.decayed = list(decayed)
         self.by_id = {m.module_id: m for m in self.available + self.decayed}
         self.pool = pool
-        self.enactor = Enactor(ctx, self.by_id, pool)
+        self.enactor = Enactor(ctx, self.by_id, pool, invoker)
         self._rng = random.Random(self.config.seed)
         self._counter = 0
         self._consumers: "dict[tuple, list[tuple[Module, str]]]" = {}

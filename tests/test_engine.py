@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import weakref
 
@@ -449,6 +450,23 @@ class TestInvocationEngine:
             engine.invoke(module, ctx, good_bindings)
         # The provider "recovers"; the cache must not replay the failure.
         assert engine.invoke(module, ctx, good_bindings) == {"ok": 1}
+        assert engine.telemetry.counter("calls") == 2
+
+    def test_withdrawn_module_is_not_answered_from_cache(
+        self, module, ctx, good_bindings
+    ):
+        module = copy.copy(module)  # withdrawn below; the catalog's stays
+        engine = InvocationEngine(EngineConfig(cache_size=16))
+        outputs = engine.invoke(module, ctx, good_bindings)
+        assert engine.invoke(module, ctx, good_bindings) == outputs
+        assert engine.telemetry.counter("cache_hits") == 1
+        # The provider withdraws the module: the cached answer must not
+        # stand in for it.
+        module.available = False
+        with pytest.raises(ModuleUnavailableError):
+            engine.invoke(module, ctx, good_bindings)
+        assert engine.telemetry.counter("unavailable") == 1
+        assert engine.telemetry.counter("cache_hits") == 1
         assert engine.telemetry.counter("calls") == 2
 
     def test_full_stack_counts_retries_and_faults(

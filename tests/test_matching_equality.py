@@ -69,10 +69,20 @@ def example(*outputs, name="o"):
     )
 
 
+class Answering:
+    """An invoker whose candidate answers ``answer(bindings)``."""
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def invoke(self, module, ctx, bindings):
+        return self.answer(bindings)
+
+
 def compare(examples, answer, mapping=EXACT):
     return compare_behavior(
         None, UNAVAILABLE, examples, CANDIDATE, mapping,
-        invoker=lambda module, bindings: answer(bindings),
+        invoker=Answering(answer),
     )
 
 

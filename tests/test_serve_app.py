@@ -10,8 +10,11 @@ import http.client
 import json
 
 import pytest
+from tests.test_enactment_differential import CountingInvoker
 from tests.test_obs_metrics import parse_exposition
 
+from repro.core.generation import ExampleGenerator
+from repro.core.matching import find_matches
 from repro.obs.metrics import MetricsExporter, MetricsServer, ServeError
 from repro.serve import AnnotationServer, AnnotationService, ServeConfig
 
@@ -107,6 +110,52 @@ class TestEndpoints:
         by_candidate = {m["candidate_id"]: m for m in body["matches"]}
         # A module always matches its own behavior.
         assert by_candidate[MODULE_A]["kind"] == "equivalent"
+
+
+class TestServedMatchThroughTheEngine:
+    """``match`` invokes its candidates through the service's engine:
+    the payload is the one a bare supply-interface comparison gives, and
+    every candidate call shows in the engine's stats."""
+
+    @staticmethod
+    def expected_payload(service, module_id):
+        module = service._lookup(module_id)
+        examples = (
+            ExampleGenerator(service.ctx, service.pool).generate(module).examples
+        )
+        counted = CountingInvoker()
+        reports = find_matches(
+            service.ctx, module, examples, service.catalog, invoker=counted
+        )
+        payload = {
+            "module_id": module_id,
+            "n_examples": len(examples),
+            "matches": [
+                {
+                    "candidate_id": report.candidate_id,
+                    "kind": report.kind.value,
+                    "n_examples": report.n_examples,
+                    "n_agreeing": report.n_agreeing,
+                    "relaxed_mapping": report.mapping.relaxed,
+                }
+                for report in reports
+            ],
+        }
+        return payload, counted.calls
+
+    @pytest.mark.parametrize("module_id", [MODULE_A, "map.kegg_to_uniprot"])
+    def test_payload_unchanged_and_calls_counted(self, module_id):
+        service = AnnotationService(memoize=True)
+        service.register(module_id)
+        service.generate(module_id)
+        before = service.stats()["cache"]
+        payload = service.match(module_id)
+        after = service.stats()["cache"]
+        expected, n_calls = self.expected_payload(service, module_id)
+        assert payload == expected
+        assert n_calls > 0
+        lookups = sum(after[k] - before[k] for k in ("hits", "negative_hits", "misses"))
+        assert lookups == n_calls
 
 
 # ----------------------------------------------------------------------
