@@ -505,6 +505,23 @@ class CampaignJournal:
         if not updated:
             raise UnknownCampaignError(campaign_id)
 
+    def add_module(self, campaign_id: str, module_id: str) -> bool:
+        """Append ``module_id`` to a campaign's planned modules unless it
+        is there: one ``UPDATE``, so of any number of processes adding
+        the same id exactly one sees ``True``.  Raises
+        :class:`UnknownCampaignError` for an unknown campaign."""
+        with self._lock, self._connection:
+            added = self._connection.execute(
+                "UPDATE campaigns "
+                "SET module_ids_json = json_insert(module_ids_json, '$[#]', ?) "
+                "WHERE campaign_id = ? AND NOT EXISTS (SELECT 1 FROM "
+                "json_each(campaigns.module_ids_json) WHERE value = ?)",
+                (module_id, campaign_id, module_id),
+            ).rowcount
+        if not added:
+            self.meta(campaign_id)  # raises for an unknown campaign
+        return bool(added)
+
     # ------------------------------------------------------------------
     # Entries
     # ------------------------------------------------------------------
@@ -631,15 +648,6 @@ class CampaignJournal:
             ).fetchone()
         return row[0]
 
-    def snapshot_count(self, campaign_id: str) -> int:
-        """Journaled samples of one campaign."""
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT COUNT(*) FROM campaign_snapshots WHERE campaign_id = ?",
-                (campaign_id,),
-            ).fetchone()
-        return row[0]
-
     # ------------------------------------------------------------------
     # Alerts (the SLO / drift alert history, PR 5)
     # ------------------------------------------------------------------
@@ -714,15 +722,6 @@ class CampaignJournal:
             ).fetchall()
         return {module_id: json.loads(payload) for module_id, payload in rows}
 
-    def signature_count(self, campaign_id: str) -> int:
-        """Journaled signatures of one campaign (cheap, no JSON parse)."""
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT COUNT(*) FROM match_signatures WHERE campaign_id = ?",
-                (campaign_id,),
-            ).fetchone()
-        return row[0]
-
     # ------------------------------------------------------------------
     def progress_counts(self, campaign_id: str) -> "dict[str, int]":
         """Cheap per-status entry counts (no report deserialization).
@@ -753,6 +752,21 @@ class CampaignJournal:
             module_id: JournalEntry(module_id=module_id, status=status, detail=detail)
             for module_id, status, detail in rows
         }
+
+    def entry(self, campaign_id: str, module_id: str) -> "JournalEntry | None":
+        """One module's entry, its report parsed when done, or ``None``:
+        one row read, where :meth:`entries` parses every row."""
+        with self._lock:
+            row = self._connection.execute(
+                "SELECT status, detail, report_json FROM campaign_entries "
+                "WHERE campaign_id = ? AND module_id = ?",
+                (campaign_id, module_id),
+            ).fetchone()
+        if row is None:
+            return None
+        status, detail, payload = row
+        report = report_from_dict(json.loads(payload)) if status == "done" else None
+        return JournalEntry(module_id, status, detail, report)
 
     def entries(
         self,

@@ -681,6 +681,7 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
     from repro.processlog import FLEET_SCOPE, REPLICA, has_status
     from repro.serve import ServeStateStore
     from repro.serve.fleet import FLEET
+    from repro.serve.sampling import HTTP_CAMPAIGN_ID
 
     if not has_status(args.db, REPLICA, FLEET_SCOPE):
         print(
@@ -696,8 +697,9 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
         )
         events = store.events()
         tenants = store.tenant_snapshot()
-        reports = store.report_count()
-        modules = len(store.module_ids())
+        reports = store.journal.progress_counts(HTTP_CAMPAIGN_ID)["n_done"]
+        planned = {m.campaign_id: m.module_ids for m in store.journal.campaigns()}
+        modules = len(planned.get(HTTP_CAMPAIGN_ID, ()))
     finally:
         store.close()
     if args.prometheus:
@@ -1148,6 +1150,13 @@ def cmd_campaign_resume(args: argparse.Namespace) -> int:
             print(
                 f"error: no campaign {args.campaign_id!r} in {args.db} "
                 "(try `repro-cli campaign status`)",
+                file=sys.stderr,
+            )
+            return 2
+        if meta.config.get("kind") == "http-server":
+            print(
+                f"error: {args.campaign_id!r} is a server's report store, "
+                "not a generation campaign; it cannot be resumed",
                 file=sys.stderr,
             )
             return 2

@@ -82,7 +82,12 @@ from repro.processlog import FLEET_SCOPE, REPLICA
 from repro.serve.admission import AdmissionController, SaturatedError
 from repro.serve.httpmetrics import HttpMetrics, normalize_endpoint
 from repro.serve.ratelimit import ANONYMOUS_TENANT, TenantRateLimiter
-from repro.serve.sampling import HTTP_CAMPAIGN_ID, HTTP_SLOS, http_sample
+from repro.serve.sampling import (
+    HTTP_CAMPAIGN_ID,
+    HTTP_SLOS,
+    http_sample,
+    open_http_campaign,
+)
 from repro.serve.state import ServeStateStore
 from repro.serve.service import (
     AnnotationService,
@@ -203,20 +208,14 @@ class AnnotationServer:
         self._trace_ids = TraceIdGenerator()
         self.access_log: "deque[dict]" = deque(maxlen=ACCESS_LOG_CAPACITY)
         # One handle on the file: a server with a store journals through
-        # the store's journal; one without opens its own (closed by stop).
+        # the store's journal, whose row the service opened; one without
+        # opens its own (closed by stop).
         self.journal: "CampaignJournal | None" = None
         if self.state is not None:
             self.journal = self.state.journal
         elif self.config.db is not None:
             self.journal = CampaignJournal(self.config.db)
-        if self.journal is not None:
-            try:
-                self.journal.create(
-                    HTTP_CAMPAIGN_ID, self.service.seed, [],
-                    config={"kind": "http-server"},
-                )
-            except ValueError:
-                pass  # made by a sibling replica or an earlier start
+            open_http_campaign(self.journal, self.service.seed)
         self.sampler = Sampler(
             lambda: http_sample(self.http_snapshot()),
             journal=self.journal,

@@ -56,6 +56,7 @@ from typing import Callable
 from repro.serve.app import AnnotationServer, ServeConfig
 from repro.serve.service import AnnotationService
 from repro.processlog import FLEET_SCOPE, REPLICA
+from repro.serve.sampling import HTTP_CAMPAIGN_ID, open_http_campaign
 from repro.serve.state import ServeStateStore
 from repro.supervision import Child, Heartbeat, ProcessSupervisor, current_beat
 
@@ -305,11 +306,14 @@ class ServeSupervisor:
         if self._started:
             return self
         self._started = True
+        # Before any replica exists, with the seed the replicas' service
+        # gets (AnnotationService's default 2014 unless given).
+        open_http_campaign(self.store.journal, self.service_kwargs.get("seed", 2014))
         if self.register_all:
             from repro.modules.catalog import default_catalog
 
             for module in default_catalog():
-                self.store.register_module(module.module_id)
+                self.store.journal.add_module(HTTP_CAMPAIGN_ID, module.module_id)
         self.store.record_event(
             FLEET,
             "fleet-start",

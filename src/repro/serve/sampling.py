@@ -4,6 +4,7 @@ own), and the synthetic campaign row it journals under."""
 
 from __future__ import annotations
 
+from repro.campaign.journal import CampaignJournal
 from repro.obs.slo import SLO
 
 #: The SLOs an annotation server is held to.  Availability counts 5xx
@@ -17,10 +18,49 @@ HTTP_SLOS: "tuple[SLO, ...]" = (
 )
 
 #: The synthetic campaign row HTTP samples and alerts are journaled
-#: under (``config={"kind": "http-server"}``, no planned modules), so
-#: ``repro-cli top`` / ``alerts`` and the SLO gauges cover a server
-#: with no storage or rendering code of their own.
+#: under (``config={"kind": "http-server"}``), so ``repro-cli top`` /
+#: ``alerts`` and the SLO gauges cover a server with no storage or
+#: rendering code of their own.  A durable server's registrations are
+#: its planned modules and its memoized reports its ``done`` entries.
 HTTP_CAMPAIGN_ID = "http-server"
+
+
+def open_http_campaign(journal: CampaignJournal, seed: int) -> None:
+    """Create the :data:`HTTP_CAMPAIGN_ID` row unless it exists; every
+    process that may write it first calls this.  An older serving file's
+    ``serve_reports`` rows move byte for byte into ``done`` entries, its
+    ``serve_modules`` ids into the planned modules, and both tables are
+    dropped, in one transaction racing replicas can both attempt."""
+    try:
+        journal.create(HTTP_CAMPAIGN_ID, seed, [], config={"kind": "http-server"})
+    except ValueError:
+        pass  # made by a sibling replica or an earlier start
+    connection = journal._connection
+    older = "SELECT 1 FROM sqlite_master WHERE name = 'serve_reports'"
+    with journal._lock:
+        if connection.execute(older).fetchone() is None:
+            return
+        connection.execute("BEGIN IMMEDIATE")
+        try:
+            if connection.execute(older).fetchone() is not None:
+                connection.execute(
+                    "INSERT OR IGNORE INTO campaign_entries SELECT ?, "
+                    "module_id, 'done', '', report_json FROM serve_reports",
+                    (HTTP_CAMPAIGN_ID,),
+                )
+                connection.execute(
+                    "UPDATE campaigns SET module_ids_json = (SELECT "
+                    "json_group_array(value) FROM (SELECT value FROM "
+                    "json_each(campaigns.module_ids_json) UNION "
+                    "SELECT module_id FROM serve_modules)) WHERE campaign_id = ?",
+                    (HTTP_CAMPAIGN_ID,),
+                )
+                connection.execute("DROP TABLE serve_reports")
+                connection.execute("DROP TABLE serve_modules")
+            connection.execute("COMMIT")
+        except BaseException:
+            connection.execute("ROLLBACK")
+            raise
 
 
 def http_sample(http: dict) -> dict:
@@ -51,7 +91,8 @@ def http_sample(http: dict) -> dict:
             ],
         },
         "health": {},
-        # A server has no planned module list; zero pending keeps the
+        # A server never finishes its registered modules the way a
+        # campaign finishes its plan; zero progress keeps the
         # coverage-progress SLO quiet by construction.
         "progress": {
             "n_planned": 0,

@@ -49,6 +49,7 @@ from repro.modules.catalog import (
 )
 from repro.ontology import build_mygrid_ontology
 from repro.pool import InstancePool, default_factory
+from repro.serve.sampling import HTTP_CAMPAIGN_ID, open_http_campaign
 
 
 class UnknownModuleError(KeyError):
@@ -76,11 +77,11 @@ class AnnotationService:
             failure probability (:class:`~repro.engine.faults.FaultPlan`),
             used by the load harness to shape realistic saturation.
         state: A :class:`~repro.serve.state.ServeStateStore` making
-            registration and memoized reports durable and fleet-shared:
-            registrations write through to the journal and are honored
-            by every replica, and memoized ``generate`` answers are
-            served from the shared ``serve_reports`` table before any
-            regeneration.
+            registration and memoized reports durable and fleet-shared
+            in its journal's :data:`~repro.serve.sampling.HTTP_CAMPAIGN_ID`
+            row: registrations are the row's planned modules, honored by
+            every replica, and memoized ``generate`` answers are served
+            from the row's ``done`` entries before any regeneration.
         kill_at_request: Arm serving process-chaos — the whole process
             dies at the Kth governed HTTP request (0 disables).  Folded
             into the engine's :class:`FaultPlan`; the supervisor only
@@ -101,6 +102,8 @@ class AnnotationService:
         self.seed = seed
         self.memoize = memoize
         self.state = state
+        if state is not None:
+            open_http_campaign(state.journal, seed)
         self.ctx = default_context(seed)
         self.catalog = list(default_catalog())
         self.pool = InstancePool.bootstrap(
@@ -146,13 +149,12 @@ class AnnotationService:
     def _registered_module(self, module_id: str):
         with self._lock:
             module = self._registered.get(module_id)
-        if module is None and self.state is not None:
-            # Another replica may have registered it — honor the shared
-            # set and hydrate this process's memory.
-            if self.state.has_module(module_id):
-                module = self._lookup(module_id)
-                with self._lock:
-                    self._registered[module_id] = module
+        if module is None and module_id in self.modules():
+            # Another replica registered it — honor the shared set and
+            # hydrate this process's memory.
+            module = self._lookup(module_id)
+            with self._lock:
+                self._registered[module_id] = module
         if module is None:
             self._lookup(module_id)  # distinguish unknown from unregistered
             raise UnregisteredModuleError(
@@ -177,7 +179,7 @@ class AnnotationService:
             # Fleet-wide freshness: the journal row decides whether any
             # replica (this one included, before a restart) already
             # registered the module.
-            fresh = self.state.register_module(module_id)
+            fresh = self.state.journal.add_module(HTTP_CAMPAIGN_ID, module_id)
         return {
             "module_id": module.module_id,
             "name": module.name,
@@ -193,7 +195,7 @@ class AnnotationService:
         with self._lock:
             local = set(self._registered)
         if self.state is not None:
-            local.update(self.state.module_ids())
+            local.update(self.state.journal.meta(HTTP_CAMPAIGN_ID).module_ids)
         return sorted(local)
 
     def note_request(self) -> None:
@@ -215,7 +217,8 @@ class AnnotationService:
         with self._lock:
             report = self._reports.get(module_id)
         if report is None and self.state is not None:
-            report = self.state.load_report(module_id)
+            entry = self.state.journal.entry(HTTP_CAMPAIGN_ID, module_id)
+            report = entry.report if entry is not None else None
             if report is not None:
                 with self._lock:
                     self._reports[module_id] = report
@@ -225,7 +228,7 @@ class AnnotationService:
         with self._lock:
             self._reports[module_id] = report
         if self.state is not None:
-            self.state.store_report(module_id, report)
+            self.state.journal.record_done(HTTP_CAMPAIGN_ID, report)
         return report, False
 
     # ------------------------------------------------------------------

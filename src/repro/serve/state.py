@@ -13,17 +13,12 @@ upserts, each committed before the journal's lock is released, so any
 number of replica processes read and write one file concurrently and a
 ``kill -9`` anywhere loses at most the uncommitted statement.
 
-Tables:
+Registrations and memoized §3 reports are journal rows of the campaign
+:data:`~repro.serve.sampling.HTTP_CAMPAIGN_ID` (planned modules, ``done``
+entries), so one replica's work answers every replica's ``/v1/generate``
+and a restarted fleet serves ``cached: true`` immediately.  The store
+keeps only what has no campaign analogue:
 
-``serve_modules``
-    The shared registration set.  A module registered through any
-    replica is served by all of them.
-``serve_reports``
-    Memoized §3 generation reports, one
-    :func:`~repro.campaign.journal.report_json` row each (the printer of
-    campaign rows), so one replica's work answers every replica's
-    ``/v1/generate`` and a restarted fleet serves ``cached: true``
-    immediately.
 ``serve_tenants``
     Per-tenant token buckets on the *wall* clock (monotonic clocks do
     not survive a restart, wall clocks do).  ``charge`` is one
@@ -45,7 +40,7 @@ Tables:
 
 The store lives inside a campaign journal: it opens one
 :class:`~repro.campaign.journal.CampaignJournal` on its file, exposes it
-as :attr:`ServeStateStore.journal`, and runs its own tables and process
+as :attr:`ServeStateStore.journal`, and runs its own table and process
 log on that journal's connection and lock.  So one ``--db`` carries
 campaigns, HTTP samples, alerts and the serving fleet's state, and a
 serving process holds one connection to it.
@@ -53,25 +48,14 @@ serving process holds one connection to it.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Callable
 
-from repro.campaign.journal import CampaignJournal, report_from_dict, report_json
-from repro.core.generation import GenerationReport
+from repro.campaign.journal import CampaignJournal
 from repro.processlog import FLEET_SCOPE, REPLICA, ProcessLog
 from repro.serve.ratelimit import spend_token
 
 _SCHEMA = """
-CREATE TABLE IF NOT EXISTS serve_modules (
-    module_id TEXT PRIMARY KEY,
-    registered_wall REAL NOT NULL
-);
-CREATE TABLE IF NOT EXISTS serve_reports (
-    module_id TEXT PRIMARY KEY,
-    report_json TEXT NOT NULL,
-    created_wall REAL NOT NULL
-);
 CREATE TABLE IF NOT EXISTS serve_tenants (
     tenant TEXT PRIMARY KEY,
     tokens REAL NOT NULL,
@@ -118,66 +102,6 @@ class ServeStateStore:
 
     def close(self) -> None:
         self.journal.close()
-
-    # ------------------------------------------------------------------
-    # Registration set
-    # ------------------------------------------------------------------
-    def register_module(self, module_id: str) -> bool:
-        """Admit ``module_id`` into the shared serving set.
-
-        Returns:
-            True when this call inserted the row (first registration
-            across the whole fleet), False when it was already there.
-        """
-        with self._lock, self._connection:
-            cursor = self._connection.execute(
-                "INSERT OR IGNORE INTO serve_modules "
-                "(module_id, registered_wall) VALUES (?, ?)",
-                (module_id, self._wall()),
-            )
-            return cursor.rowcount > 0
-
-    def has_module(self, module_id: str) -> bool:
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT 1 FROM serve_modules WHERE module_id = ?", (module_id,)
-            ).fetchone()
-        return row is not None
-
-    def module_ids(self) -> "list[str]":
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT module_id FROM serve_modules ORDER BY module_id"
-            ).fetchall()
-        return [row[0] for row in rows]
-
-    # ------------------------------------------------------------------
-    # Memoized generation reports
-    # ------------------------------------------------------------------
-    def store_report(self, module_id: str, report: GenerationReport) -> None:
-        """Upsert one memoized generation report (idempotent — every
-        replica regenerating the same module writes the same bytes)."""
-        with self._lock, self._connection:
-            self._connection.execute(
-                "INSERT OR REPLACE INTO serve_reports "
-                "(module_id, report_json, created_wall) VALUES (?, ?, ?)",
-                (module_id, report_json(report), self._wall()),
-            )
-
-    def load_report(self, module_id: str) -> "GenerationReport | None":
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT report_json FROM serve_reports WHERE module_id = ?",
-                (module_id,),
-            ).fetchone()
-        return report_from_dict(json.loads(row[0])) if row is not None else None
-
-    def report_count(self) -> int:
-        with self._lock:
-            (count,) = self._connection.execute(
-                "SELECT COUNT(*) FROM serve_reports"
-            ).fetchone()
-        return count
 
     # ------------------------------------------------------------------
     # Durable per-tenant token buckets
@@ -298,10 +222,6 @@ class ServeStateStore:
             {**span, "_replica": slot}
             for _, slot, span in self.processes.spans(FLEET_SCOPE, replica, module_id)
         ]
-
-    def replica_stats(self) -> "dict[int, dict]":
-        """``{replica: stats snapshot}`` for the fleet metrics fold."""
-        return self.processes.stats(REPLICA, FLEET_SCOPE)
 
     def replica_rows(
         self,

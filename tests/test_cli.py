@@ -228,6 +228,30 @@ class TestCampaignCli:
         assert main(["campaign", "resume", "ghost", "--db", db]) == 2
         assert "no campaign 'ghost'" in capsys.readouterr().err
 
+    def test_resume_refuses_the_server_report_store(self, capsys, tmp_path):
+        from repro.campaign import CampaignJournal
+        from repro.serve.sampling import HTTP_CAMPAIGN_ID
+
+        # The row a fleet leaves: the server's config, registered modules.
+        db = self._db(tmp_path)
+        journal = CampaignJournal(db)
+        journal.create(
+            HTTP_CAMPAIGN_ID, 2014, ["ret.get_uniprot_record"],
+            config={"kind": "http-server"},
+        )
+        journal.close()
+        assert main(["campaign", "resume", HTTP_CAMPAIGN_ID, "--db", db]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "cannot be resumed" in captured.err
+        # Nothing was generated into the server's store.
+        journal = CampaignJournal(db)
+        try:
+            assert journal.progress_counts(HTTP_CAMPAIGN_ID)["n_done"] == 0
+        finally:
+            journal.close()
+
     def test_status_without_campaigns(self, capsys, tmp_path):
         import json
 

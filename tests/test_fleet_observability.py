@@ -33,6 +33,7 @@ from repro.obs.propagation import (
     campaign_trace_id,
     normalize_trace_id,
 )
+from repro.processlog import FLEET_SCOPE, REPLICA
 from repro.serve import (
     AnnotationServer,
     AnnotationService,
@@ -40,6 +41,7 @@ from repro.serve import (
     ServeConfig,
     ServeSupervisor,
 )
+from repro.serve.sampling import HTTP_CAMPAIGN_ID
 
 CAMPAIGN = "fleetobs"
 TRACE = campaign_trace_id(CAMPAIGN)
@@ -103,7 +105,7 @@ def fleet_world(tmp_path_factory, catalog):
                 supervisor, lambda: supervisor.healthy_replicas() == 2,
                 message="2 healthy replicas",
             )
-            module_id = supervisor.store.module_ids()[0]
+            module_id = min(supervisor.store.journal.meta(HTTP_CAMPAIGN_ID).module_ids)
 
             def replicas_with_spans():
                 return {
@@ -248,7 +250,7 @@ class TestUnifiedScrape:
                 supervisor, lambda: supervisor.healthy_replicas() == 2,
                 message="2 healthy replicas",
             )
-            module_id = supervisor.store.module_ids()[0]
+            module_id = min(supervisor.store.journal.meta(HTTP_CAMPAIGN_ID).module_ids)
             for _ in range(4):
                 status, _, _ = _fetch(
                     supervisor.host, supervisor.port, "POST", "/v1/generate",
@@ -260,7 +262,9 @@ class TestUnifiedScrape:
             # snapshot that has seen the traffic.
             _wait(
                 supervisor,
-                lambda: len(supervisor.store.replica_stats()) == 2,
+                lambda: len(
+                    supervisor.store.processes.stats(REPLICA, FLEET_SCOPE)
+                ) == 2,
                 message="both replicas journaled stats",
             )
             time.sleep(0.5)  # one more beat: snapshots include the calls
@@ -274,7 +278,9 @@ class TestUnifiedScrape:
                 [
                     snapshot
                     for _, snapshot in sorted(
-                        supervisor.store.replica_stats().items()
+                        supervisor.store.processes.stats(
+                            REPLICA, FLEET_SCOPE
+                        ).items()
                     )
                 ]
             )

@@ -50,7 +50,7 @@ class TestBuildAndResume:
         builder = IndexBuilder(journal)
         index = builder.build(world.modules, world.examples_by_id)
         assert len(index) == len(world.modules)
-        assert journal.signature_count("match-index") == len(world.modules)
+        assert len(journal.signatures("match-index")) == len(world.modules)
         assert journal.meta("match-index").status == COMPLETE
 
     def test_resume_sketches_only_the_remainder(self, world, journal):

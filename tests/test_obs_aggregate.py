@@ -92,7 +92,7 @@ class TestServeSpanStore:
             _record_stats(store, 0, {"counters": {"calls": 1}})
             _record_stats(store, 0, {"counters": {"calls": 5}})
             _record_stats(store, 1, {"counters": {"calls": 2}})
-            stats = store.replica_stats()
+            stats = store.processes.stats(REPLICA, FLEET_SCOPE)
             assert stats[0]["counters"]["calls"] == 5
             assert stats[1]["counters"]["calls"] == 2
         finally:
@@ -107,7 +107,8 @@ class TestServeSpanStore:
         reopened = ServeStateStore(path)
         try:
             assert len(reopened.processes.spans(FLEET_SCOPE)) == 1
-            assert reopened.replica_stats()[0]["counters"]["calls"] == 3
+            stats = reopened.processes.stats(REPLICA, FLEET_SCOPE)
+            assert stats[0]["counters"]["calls"] == 3
         finally:
             reopened.close()
 
@@ -322,11 +323,9 @@ class TestNoPhantomWorkers:
     @staticmethod
     def _fleet_db(store):
         """What a replica journals: the http-server campaign and its row."""
-        from repro.serve.sampling import HTTP_CAMPAIGN_ID
+        from repro.serve.sampling import open_http_campaign
 
-        store.journal.create(
-            HTTP_CAMPAIGN_ID, 2014, [], config={"kind": "http-server"}
-        )
+        open_http_campaign(store.journal, 2014)
         _record_stats(store, 0, {"counters": {"calls": 2}})
 
     @staticmethod

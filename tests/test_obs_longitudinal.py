@@ -81,7 +81,7 @@ class TestFaultedCampaignAlerts:
         assert len(snapshots) >= 2
         assert snapshots[-1]["progress"]["n_pending"] == 0
         # The baseline campaign, run without sampling, journaled nothing.
-        assert journal.snapshot_count("base") == 0
+        assert journal.snapshots("base") == []
 
     def test_campaign_report_carries_the_drift_table(self, faulted_campaign):
         from repro.campaign import render_campaign_report

@@ -199,7 +199,7 @@ class TestCampaignSampler:
             assert result.status == "complete"
             assert len(snapshots) >= 2  # initial zero-point + terminal
             assert snapshots == journal.snapshots("sampled")
-            assert journal.snapshot_count("sampled") == len(snapshots)
+            assert len(journal.snapshots("sampled")) == len(snapshots)
             # Sequence and run stamps are monotone within the segment.
             assert [s["seq"] for s in snapshots] == list(range(len(snapshots)))
             assert all(s["run"] == 0 for s in snapshots)

@@ -188,7 +188,9 @@ class TestStatusRows:
                     work=4, started_wall=0.0, stats=stats,
                 )
             assert store.replica_status(0)["phase"] == "drained"
-            assert store.replica_stats() == {0: {"counters": {"calls": 4}}}
+            assert store.processes.stats(REPLICA, FLEET_SCOPE) == {
+                0: {"counters": {"calls": 4}}
+            }
         finally:
             store.close()
 
@@ -199,7 +201,7 @@ class TestStatusRows:
                 REPLICA, FLEET_SCOPE, 0, pid=9, attempt=1, phase="running",
                 work=0, started_wall=0.0,
             )
-            assert store.replica_stats() == {}
+            assert store.processes.stats(REPLICA, FLEET_SCOPE) == {}
             assert [row["replica"] for row in store.replicas()] == [0]
         finally:
             store.close()

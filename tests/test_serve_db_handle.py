@@ -5,8 +5,9 @@ whole life (spawn, serve, SIGTERM drain, final rows): its state store
 opens the file as a campaign journal and the server journals through
 it.  A standalone server given only ``db`` journals through a journal
 of its own and keeps registrations in memory.  A file written before
-the store rode the journal still serves its memoized reports, and the
-in-memory and durable token buckets share one refill rule.
+the store rode the journal still serves its memoized reports and its
+registrations, moved into the ``http-server`` row, and the in-memory
+and durable token buckets share one refill rule.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import socket
 import sqlite3
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -33,6 +35,7 @@ from repro.serve import (
     ServeStateStore,
 )
 from repro.serve.ratelimit import TokenBucket
+from repro.serve.sampling import HTTP_CAMPAIGN_ID, open_http_campaign
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -99,7 +102,8 @@ def test_replica_opens_its_db_once_from_spawn_to_final_rows(tmp_path):
     store = ServeStateStore(db)
     try:
         module_id = "ret.get_uniprot_record"
-        store.register_module(module_id)
+        open_http_campaign(store.journal, 2014)
+        store.journal.add_module(HTTP_CAMPAIGN_ID, module_id)
     finally:
         store.close()
     reservation = _reserved_port()
@@ -154,7 +158,7 @@ def test_replica_opens_its_db_once_from_spawn_to_final_rows(tmp_path):
         assert [event["kind"] for event in store.events()][-2:] == [
             "drain", "drained",
         ]
-        assert store.report_count() == 1
+        assert store.journal.progress_counts(HTTP_CAMPAIGN_ID)["n_done"] == 1
         assert store.tenant_snapshot()["anonymous"]["allowed"] == 2
         assert store.spans(replica=0)
         assert store.journal.snapshots("http-server")
@@ -183,6 +187,7 @@ def test_standalone_server_keeps_registrations_in_memory(service, tmp_path):
         assert server.journal.meta("http-server").config == {
             "kind": "http-server"
         }
+        assert server.journal.meta("http-server").module_ids == ()
     connection = sqlite3.connect(db)
     try:
         tables = {
@@ -258,18 +263,81 @@ def test_older_db_still_serves_its_memoized_report(service, tmp_path):
         assert status == 200, body
         assert body["cached"] is True
         assert body["report"] == json.loads(row)
+        # The old registration set is served.
+        assert fresh.modules() == [module_id]
+        assert store.journal.meta(HTTP_CAMPAIGN_ID).module_ids == (module_id,)
         # Rewriting the row prints the same bytes.
-        store.store_report(module_id, store.load_report(module_id))
+        store.journal.record_done(
+            HTTP_CAMPAIGN_ID, store.journal.entry(HTTP_CAMPAIGN_ID, module_id).report
+        )
     finally:
         store.close()
     connection = sqlite3.connect(db)
     try:
         (stored,) = connection.execute(
-            "SELECT report_json FROM serve_reports"
+            "SELECT report_json FROM campaign_entries "
+            "WHERE campaign_id = ? AND module_id = ? AND status = 'done'",
+            (HTTP_CAMPAIGN_ID, module_id),
         ).fetchone()
+        tables = {
+            name
+            for (name,) in connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
     finally:
         connection.close()
     assert stored == row
+    # Both old tables were folded into the row and dropped.
+    assert not tables & {"serve_modules", "serve_reports"}
+
+
+def test_racing_replicas_fold_an_older_db_once(tmp_path):
+    db = str(tmp_path / "older.db")
+    connection = sqlite3.connect(db, isolation_level=None)
+    try:
+        connection.executescript(_OLDER_SERVE_SCHEMA)
+        for module_id in ("xf.b", "xf.a"):
+            connection.execute(
+                "INSERT INTO serve_modules VALUES (?, ?)", (module_id, 1.0)
+            )
+            connection.execute(
+                "INSERT INTO serve_reports VALUES (?, ?, ?)",
+                (module_id, f'{{"row": "{module_id}"}}', 1.0),
+            )
+    finally:
+        connection.close()
+    stores = [ServeStateStore(db) for _ in range(3)]
+    barrier = threading.Barrier(len(stores))
+    errors = []
+
+    def open_row(store):
+        barrier.wait()
+        try:
+            open_http_campaign(store.journal, 2014)
+        except Exception as error:
+            errors.append(error)
+
+    threads = [threading.Thread(target=open_row, args=(s,)) for s in stores]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    try:
+        assert errors == []
+        journal = stores[0].journal
+        assert sorted(journal.meta(HTTP_CAMPAIGN_ID).module_ids) == ["xf.a", "xf.b"]
+        rows = journal._connection.execute(
+            "SELECT module_id, status, report_json FROM campaign_entries "
+            "ORDER BY module_id"
+        ).fetchall()
+        assert rows == [
+            ("xf.a", "done", '{"row": "xf.a"}'),
+            ("xf.b", "done", '{"row": "xf.b"}'),
+        ]
+    finally:
+        for store in stores:
+            store.close()
 
 
 # ----------------------------------------------------------------------

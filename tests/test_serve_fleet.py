@@ -19,7 +19,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign.journal import campaign_progress
+from repro.modules.catalog import default_catalog
 from repro.serve import FleetConfig, ServeConfig, ServeSupervisor
+from repro.serve.sampling import HTTP_CAMPAIGN_ID
 
 FAST = dict(heartbeat_interval=0.2, restart_backoff=0.05, drain_timeout=5.0)
 
@@ -66,6 +69,16 @@ def _supervisor(db, replicas=2, rate=None, burst=100.0, **fleet_kwargs):
     )
 
 
+def _first_module(supervisor):
+    """The sorted-first registered module id."""
+    return min(supervisor.store.journal.meta(HTTP_CAMPAIGN_ID).module_ids)
+
+
+def _served(supervisor):
+    """Memoized reports in the shared store."""
+    return supervisor.store.journal.progress_counts(HTTP_CAMPAIGN_ID)["n_done"]
+
+
 def _event_kinds(supervisor):
     return [event["kind"] for event in supervisor.store.events()]
 
@@ -92,7 +105,7 @@ class TestFleetServes:
                 message="2 healthy replicas",
             )
             assert len(supervisor.pids) == 2
-            module_id = supervisor.store.module_ids()[0]
+            module_id = _first_module(supervisor)
             first = _generate(supervisor.host, supervisor.port, module_id)
             assert first[0] == 200
             # Every later answer is memoized no matter which replica the
@@ -104,7 +117,7 @@ class TestFleetServes:
                 )
                 assert status == 200
                 assert body["cached"] is True
-            assert supervisor.store.report_count() == 1
+            assert _served(supervisor) == 1
         finally:
             assert supervisor.drain() is True
             supervisor.close()
@@ -246,7 +259,7 @@ class TestServeChaos:
                 supervisor, lambda: supervisor.healthy_replicas() == 1,
                 message="replica healthy",
             )
-            module_id = supervisor.store.module_ids()[0]
+            module_id = _first_module(supervisor)
             assert _generate(supervisor.host, supervisor.port, module_id)[0] == 200
             assert _fetch(
                 supervisor.host, supervisor.port, path="/v1/modules"
@@ -343,7 +356,7 @@ class TestDurabilityAcceptance:
                 supervisor, lambda: supervisor.healthy_replicas() == 2,
                 message="2 healthy replicas",
             )
-            module_id = supervisor.store.module_ids()[0]
+            module_id = _first_module(supervisor)
             for _ in range(3):
                 status, _ = _generate(
                     supervisor.host, supervisor.port, module_id, tenant="acct"
@@ -352,10 +365,16 @@ class TestDurabilityAcceptance:
         finally:
             assert supervisor.drain() is True
         tenants_before = supervisor.store.tenant_snapshot()
-        reports_before = supervisor.store.report_count()
+        reports_before = _served(supervisor)
+        journal = supervisor.store.journal
+        progress = campaign_progress(journal, journal.meta(HTTP_CAMPAIGN_ID))
         supervisor.close()
         assert tenants_before["acct"]["allowed"] == 3
         assert reports_before == 1
+        # The served report is a done entry of the `http-server` row,
+        # planned over the whole registered catalog.
+        assert progress["n_done"] == 1
+        assert progress["n_planned"] == len(default_catalog())
 
         # A brand-new fleet on the same journal: the very first answer
         # is memoized, and tenant accounting continues from the exact

@@ -1,7 +1,8 @@
 """Tests of the durable serving state store: the shared registration
-set, memoized-report round-trips, wall-clock token buckets that survive
-process restarts byte-for-byte, and the replica heartbeat/event rows the
-``repro-cli serve fleet`` post-mortem renders."""
+set and memoized-report round-trips in its journal's ``http-server``
+row, wall-clock token buckets that survive process restarts
+byte-for-byte, and the replica heartbeat/event rows the ``repro-cli
+serve fleet`` post-mortem renders."""
 
 from __future__ import annotations
 
@@ -9,9 +10,11 @@ import threading
 
 import pytest
 
+from repro.campaign.journal import UnknownCampaignError
 from repro.core.generation import ExampleGenerator
 from repro.processlog import FLEET_SCOPE, REPLICA, has_status
 from repro.serve import ServeStateStore
+from repro.serve.sampling import HTTP_CAMPAIGN_ID, open_http_campaign
 
 
 class WallClock:
@@ -44,32 +47,71 @@ def store(db, clock):
     store.close()
 
 
+def _planned(store):
+    return store.journal.meta(HTTP_CAMPAIGN_ID).module_ids
+
+
 class TestRegistrations:
     def test_first_registration_wins_the_insert(self, store):
-        assert store.register_module("xf.a") is True
-        assert store.register_module("xf.a") is False
-        assert store.has_module("xf.a")
-        assert not store.has_module("xf.b")
-        assert store.module_ids() == ["xf.a"]
+        open_http_campaign(store.journal, 2014)
+        assert store.journal.add_module(HTTP_CAMPAIGN_ID, "xf.a") is True
+        assert store.journal.add_module(HTTP_CAMPAIGN_ID, "xf.a") is False
+        assert "xf.a" in _planned(store)
+        assert "xf.b" not in _planned(store)
+        assert _planned(store) == ("xf.a",)
 
     def test_two_handles_share_one_file(self, db, clock, store):
+        open_http_campaign(store.journal, 2014)
         other = ServeStateStore(db, wall_clock=clock)
         try:
-            store.register_module("xf.a")
-            assert other.has_module("xf.a")
-            assert other.register_module("xf.a") is False
+            store.journal.add_module(HTTP_CAMPAIGN_ID, "xf.a")
+            assert "xf.a" in _planned(other)
+            assert other.journal.add_module(HTTP_CAMPAIGN_ID, "xf.a") is False
         finally:
             other.close()
+
+    def test_concurrent_handles_register_each_module_once(self, db, store):
+        # Fleet-wide freshness: of racing processes adding one module,
+        # exactly one is told it was first.
+        open_http_campaign(store.journal, 2014)
+        handles = [ServeStateStore(db) for _ in range(4)]
+        fresh = []
+        barrier = threading.Barrier(len(handles))
+
+        def register(handle):
+            barrier.wait()
+            for index in range(20):
+                if handle.journal.add_module(HTTP_CAMPAIGN_ID, f"xf.{index}"):
+                    fresh.append(index)
+
+        threads = [
+            threading.Thread(target=register, args=(handle,)) for handle in handles
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            for handle in handles:
+                handle.close()
+        assert sorted(fresh) == list(range(20))
+        assert sorted(_planned(store)) == sorted(f"xf.{i}" for i in range(20))
+
+    def test_unknown_campaign_raises(self, store):
+        with pytest.raises(UnknownCampaignError):
+            store.journal.add_module("ghost", "xf.a")
 
 
 class TestReports:
     def test_round_trip_and_idempotent_upsert(self, store, ctx, pool, catalog):
         report = ExampleGenerator(ctx, pool).generate(catalog[0])
-        store.store_report("xf.a", report)
-        store.store_report("xf.a", report)  # every replica writes the same
-        assert store.load_report("xf.a") == report
-        assert store.load_report("xf.missing") is None
-        assert store.report_count() == 1
+        store.journal.record_done(HTTP_CAMPAIGN_ID, report)
+        # every replica writes the same
+        store.journal.record_done(HTTP_CAMPAIGN_ID, report)
+        assert store.journal.entry(HTTP_CAMPAIGN_ID, report.module_id).report == report
+        assert store.journal.entry(HTTP_CAMPAIGN_ID, "xf.missing") is None
+        assert store.journal.progress_counts(HTTP_CAMPAIGN_ID)["n_done"] == 1
 
 
 class TestTenantBuckets:
