@@ -66,11 +66,6 @@ def species_name(ordinal: int) -> str:
     return _SPECIES[ordinal % len(_SPECIES)][1]
 
 
-def organism_count() -> int:
-    """Number of distinct organisms in the synthetic universe."""
-    return len(_SPECIES)
-
-
 SCHEMES: dict[str, AccessionScheme] = {}
 
 

@@ -8,6 +8,8 @@ phylogenetic-tree builder consuming a multiple alignment).
 
 from __future__ import annotations
 
+from operator import eq
+
 from repro.biodb.sequences import gc_content, molecular_weight
 
 
@@ -16,12 +18,24 @@ def _pad(sequence_a: str, sequence_b: str) -> tuple[str, str]:
     return sequence_a.ljust(width, "-"), sequence_b.ljust(width, "-")
 
 
+def alignment_score(upper_a: str, upper_b: str) -> int:
+    """:func:`score_alignment` of two sequences already upper-cased.
+
+    Padding the shorter sequence with ``-`` and scoring +2 per equal
+    non-gap position and -1 per other position is ``3·M − width``, where
+    ``M`` counts the equal non-gap positions below the shorter length:
+    the equal positions, counted at C speed by ``operator.eq``, less
+    those where both hold ``-``.
+    """
+    matches = sum(map(eq, upper_a, upper_b))
+    if "-" in upper_a and "-" in upper_b:
+        matches -= sum(x == y == "-" for x, y in zip(upper_a, upper_b))
+    return 3 * matches - max(len(upper_a), len(upper_b))
+
+
 def score_alignment(sequence_a: str, sequence_b: str) -> int:
     """Toy global alignment score: +2 per positional match, -1 otherwise."""
-    padded_a, padded_b = _pad(sequence_a.upper(), sequence_b.upper())
-    return sum(
-        2 if x == y and x != "-" else -1 for x, y in zip(padded_a, padded_b)
-    )
+    return alignment_score(sequence_a.upper(), sequence_b.upper())
 
 
 def render_pairwise_alignment(
@@ -36,7 +50,7 @@ def render_pairwise_alignment(
     return (
         f"# Program: {program}\n"
         f"# Aligned: {name_a} vs {name_b}\n"
-        f"# Score: {score_alignment(sequence_a, sequence_b)}\n"
+        f"# Score: {3 * identity - len(padded_a)}\n"
         f"# Identity: {identity}/{len(padded_a)}\n"
         f"{name_a[:10]:<12}{padded_a}\n"
         f"{'':<12}{markers}\n"

@@ -45,6 +45,8 @@ _RESIDUE_MASS = {
     "M": 131.19, "N": 114.10, "P": 97.12, "Q": 128.13, "R": 156.19,
     "S": 87.08, "T": 101.10, "V": 99.13, "W": 186.21, "Y": 163.18,
 }
+#: Mass (Da) an unknown residue contributes: the mean of the table.
+_MEAN_RESIDUE_MASS = sum(_RESIDUE_MASS.values()) / len(_RESIDUE_MASS)
 
 
 def _draw(rng: random.Random, alphabet: str, length: int) -> str:
@@ -54,11 +56,6 @@ def _draw(rng: random.Random, alphabet: str, length: int) -> str:
 def make_dna(rng: random.Random, length: int = 60) -> str:
     """A random DNA sequence."""
     return _draw(rng, DNA_ALPHABET, length)
-
-
-def make_rna(rng: random.Random, length: int = 60) -> str:
-    """A random RNA sequence."""
-    return _draw(rng, RNA_ALPHABET, length)
 
 
 def make_protein(rng: random.Random, length: int = 40) -> str:
@@ -154,10 +151,9 @@ def molecular_weight(protein: str) -> float:
 
     Unknown residues contribute the mean residue mass.
     """
-    mean_mass = sum(_RESIDUE_MASS.values()) / len(_RESIDUE_MASS)
     water = 18.02
     return water + sum(
-        _RESIDUE_MASS.get(residue, mean_mass) for residue in protein.upper()
+        _RESIDUE_MASS.get(residue, _MEAN_RESIDUE_MASS) for residue in protein.upper()
     )
 
 

@@ -28,7 +28,8 @@ from repro.biodb.entities import (
     Publication,
     Structure,
 )
-from repro.biodb.sequences import make_dna, make_protein
+from repro.biodb.reports import alignment_score
+from repro.biodb.sequences import make_dna, make_protein, peptide_masses
 
 _PROTEIN_STEMS = (
     "kinase", "phosphatase", "dehydrogenase", "synthase", "reductase",
@@ -94,6 +95,9 @@ class BioUniverse:
         self._build_ligands(rng, count=16)
         self._build_publications(rng, count=max(16, n_proteins // 2))
         self._index()
+        # Search tables, built on first use (see "Search tables" below).
+        self._mass_postings: dict[float, tuple[int, ...]] | None = None
+        self._upper_sequences: tuple[str, ...] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -488,20 +492,57 @@ class BioUniverse:
         )
         return tuple(candidates[:limit])
 
+    # ------------------------------------------------------------------
+    # Search tables
+    # ------------------------------------------------------------------
+    # Both tables are pure functions of ``self.proteins``, which never
+    # changes after construction.  Two threads racing on a first build
+    # each build an equal table and one assignment wins, so no lock.
+    def _peptide_mass_postings(self) -> dict[float, tuple[int, ...]]:
+        """Tryptic peptide mass (rounded to 0.1) -> positions in
+        ``self.proteins`` of the proteins with a peptide of that mass."""
+        postings = self._mass_postings
+        if postings is None:
+            lists: dict[float, list[int]] = {}
+            for index, protein in enumerate(self.proteins):
+                for mass in {round(m, 1) for m in peptide_masses(protein.sequence)}:
+                    lists.setdefault(mass, []).append(index)
+            postings = {mass: tuple(hits) for mass, hits in lists.items()}
+            self._mass_postings = postings
+        return postings
+
+    def _alignment_table(self) -> tuple[str, ...]:
+        """Each protein's sequence upper-cased, in order."""
+        table = self._upper_sequences
+        if table is None:
+            table = tuple(p.sequence.upper() for p in self.proteins)
+            self._upper_sequences = table
+        return table
+
     def identify_by_peptide_masses(self, masses: "list[float]") -> Protein | None:
         """Protein identification: the protein whose tryptic peptide masses
         best overlap the query masses (ties broken by ordinal)."""
-        from repro.biodb.sequences import peptide_masses
+        postings = self._peptide_mass_postings()
+        scores: dict[int, int] = {}
+        for mass in {round(m, 1) for m in masses}:
+            for index in postings.get(mass, ()):
+                scores[index] = scores.get(index, 0) + 1
+        if not scores:
+            return None
+        return self.proteins[min(scores, key=lambda index: (-scores[index], index))]
 
-        best: Protein | None = None
-        best_score = -1
-        query = {round(m, 1) for m in masses}
-        for protein in self.proteins:
-            own = {round(m, 1) for m in peptide_masses(protein.sequence)}
-            score = len(own & query)
-            if score > best_score:
-                best, best_score = protein, score
-        return best if best_score > 0 else None
+    def rank_by_alignment(
+        self, sequence: str, limit: int
+    ) -> list[tuple[Protein, int]]:
+        """Homology search: the ``limit`` proteins with the highest
+        :func:`~repro.biodb.reports.score_alignment` against ``sequence``,
+        as ``(protein, score)`` pairs, best first (ties by ordinal)."""
+        query = sequence.upper()
+        ranked = sorted(
+            (-alignment_score(query, target), protein.ordinal, protein)
+            for target, protein in zip(self._alignment_table(), self.proteins)
+        )
+        return [(protein, -negated) for negated, _ordinal, protein in ranked[:limit]]
 
 
 @lru_cache(maxsize=4)

@@ -127,20 +127,12 @@ def _sequence_op_row(
 
 
 def _homology_search(ctx: ModuleContext, sequence: str, database: str, program: str):
-    """Shared homology-search core: rank universe proteins against the
-    query with the toy alignment score."""
-    scored = sorted(
-        (
-            (
-                reports.score_alignment(sequence, protein.sequence),
-                protein.ordinal,
-                protein,
-            )
-            for protein in ctx.universe.proteins
-        ),
-        key=lambda item: (-item[0], item[1]),
-    )
-    hits = [(p.uniprot, p.name, score) for score, _o, p in scored[:5]]
+    """Shared homology-search core: the five universe proteins that score
+    best against the query with the toy alignment score."""
+    hits = [
+        (p.uniprot, p.name, score)
+        for p, score in ctx.universe.rank_by_alignment(sequence, 5)
+    ]
     return reports.render_homology_report("query", hits, database, program)
 
 

@@ -236,15 +236,12 @@ def _orphans() -> list[Module]:
     def search_top3(ctx: ModuleContext, inputs):
         from repro.biodb import reports
 
-        scored = sorted(
-            (
-                (reports.score_alignment(inputs["sequence"].payload, p.sequence),
-                 p.ordinal, p)
-                for p in ctx.universe.proteins
-            ),
-            key=lambda item: (-item[0], item[1]),
-        )
-        hits = [(p.uniprot, p.name, score) for score, _o, p in scored[:3]]
+        hits = [
+            (p.uniprot, p.name, score)
+            for p, score in ctx.universe.rank_by_alignment(
+                inputs["sequence"].payload, 3
+            )
+        ]
         text = reports.render_homology_report(
             "query", hits, inputs["database"].payload, "fasta34"
         )

@@ -5,7 +5,6 @@ import pytest
 from repro.biodb.accessions import (
     SCHEMES,
     classify_accession,
-    organism_count,
     scheme_for,
     species_code,
     species_name,
@@ -66,7 +65,6 @@ class TestClassification:
 
 class TestSpecies:
     def test_species_tables_align(self):
-        assert organism_count() == 8
         assert species_code(0) == "hsa"
         assert species_name(0) == "Homo sapiens"
 

@@ -15,7 +15,6 @@ from repro.biodb.sequences import (
     make_ambiguous_nucleotide,
     make_dna,
     make_protein,
-    make_rna,
     molecular_weight,
     peptide_masses,
     reverse_complement,
@@ -35,7 +34,7 @@ class TestGenerators:
     def test_generators_classify_to_their_kind(self, seed):
         rng = random.Random(seed)
         assert classify_sequence(make_dna(rng)) == "DNASequence"
-        assert classify_sequence(make_rna(rng)) == "RNASequence"
+        assert classify_sequence(transcribe(make_dna(rng))) == "RNASequence"
         assert classify_sequence(make_protein(rng)) == "ProteinSequence"
         assert classify_sequence(make_ambiguous_nucleotide(rng)) == "NucleotideSequence"
         assert classify_sequence(make_ambiguous_biological(rng)) == "BiologicalSequence"
