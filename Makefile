@@ -76,20 +76,23 @@ bench-obs:
 	$(PYTHON) benchmarks/bench_obs.py
 
 # Matching acceptance smoke (the CI match-smoke job): the match/ unit
-# and property tests, the canonical and wire encoders' byte-identity
-# tests (tokens and keys are hashed from their bytes), and the tests of
-# each layer a verify invocation crosses: the engine accounting's and
-# the cache's equivalence with their oracles, structural type lookup in
-# the wire decoder, compare_behavior's pinned equality, and the wire
-# layer's fast paths (the one-pass SOAP envelope scan, the direct JSON
-# scan, the compiled accession guards) against the formulas they
-# replaced; then §6 repair, which reads what flows along a link off the
-# producer's data examples, and the guard that core/, match/ and
-# workflow/ read no ground-truth module field; then enactment, which
-# repair validates by: its provenance, the differential that traces
-# through a caching engine equal traces through the bare round trip,
-# and the guard that nothing under src/repro/ but the engine's
-# DirectInvoker calls invoke_via_interface.
+# and property tests (the lane-parallel minhash rows against their
+# scalar oracles among them), the canonical and wire encoders'
+# byte-identity tests (tokens and keys are hashed from their bytes),
+# and the tests of each layer a verify invocation crosses: the engine
+# accounting's and the cache's equivalence with their oracles,
+# structural type lookup in the wire decoder, compare_behavior's
+# pinned equality, and the wire layer's fast paths (the one-pass SOAP
+# envelope scan, the direct JSON scan, the compiled accession guards
+# and the one-alternation guards of the multi-scheme modules) against
+# the formulas they replaced; then §6 repair, which reads what flows
+# along a link off the producer's data examples, and the guard that
+# core/, match/ and workflow/ read no ground-truth module field; then
+# enactment, which repair validates by: its provenance, the
+# differential that traces through a caching engine equal traces
+# through the bare round trip, and the guard that nothing under
+# src/repro/ but the engine's DirectInvoker calls
+# invoke_via_interface.
 # The CI job then runs a downsized benchmark writing to a temp file
 # (the committed BENCH_match.json stays untouched).
 match-smoke:
@@ -97,7 +100,8 @@ match-smoke:
 		tests/test_match_index.py tests/test_match_synth.py \
 		tests/test_match_builder.py tests/test_match_repair.py \
 		tests/test_match_cli.py tests/test_match_exactness.py \
-		tests/test_match_sketch.py tests/test_values_canonical.py \
+		tests/test_match_sketch.py tests/test_match_lanes.py \
+		tests/test_values_canonical.py tests/test_accession_schemes.py \
 		tests/test_wire_encoding.py tests/test_engine_telemetry.py \
 		tests/test_engine_cache_model.py tests/test_structural_lookup.py \
 		tests/test_matching_equality.py tests/test_wire_fastpaths.py \

@@ -74,15 +74,3 @@ def measure_at_scale(n_proteins: int, seed: int = 2014) -> ScalePoint:
 def run_scale_sweep(sizes: tuple = (30, 120, 480), seed: int = 2014) -> "list[ScalePoint]":
     """Measure the pipeline at several universe sizes."""
     return [measure_at_scale(size, seed=seed) for size in sizes]
-
-
-def histograms_invariant(points: "list[ScalePoint]") -> bool:
-    """True when every point carries identical Table 1/2 histograms."""
-    if not points:
-        return True
-    reference = points[0]
-    return all(
-        point.completeness_hist == reference.completeness_hist
-        and point.conciseness_hist == reference.conciseness_hist
-        for point in points[1:]
-    )

@@ -42,8 +42,9 @@ from dataclasses import dataclass, field
 
 from repro.core.examples import DataExample
 # ``input_tokens`` is not called here (a sketch takes the input tokens
-# from the same pass as ``behavior_tokens``), but it stays a name of this
-# module next to the other sketch functions.
+# from the same pass as ``behavior_tokens``).  It stays imported because
+# perfbench's traced synth-match wraps the sketch functions by their
+# names in this module, ``input_tokens`` among them.
 from repro.match.signature import (  # noqa: F401
     MinHashRows,
     MinHashSignature,
@@ -188,7 +189,7 @@ class SignatureIndex:
             )
         if entry.module_id in self._entries:
             self.remove(entry.module_id)
-        keys = band_keys(entry.signature, self.config)
+        keys = band_keys(entry.signature, self.config, rows=self._rows)
         self._entries[entry.module_id] = entry
         self._band_keys[entry.module_id] = keys
         for band, key in enumerate(keys):
@@ -253,7 +254,7 @@ class SignatureIndex:
         if self._entries.get(entry.module_id) is entry:
             keys = self._band_keys[entry.module_id]
         else:
-            keys = band_keys(entry.signature, self.config)
+            keys = band_keys(entry.signature, self.config, rows=self._rows)
         found: "set[str]" = set()
         for band, key in enumerate(keys):
             found.update(self._band_buckets.get((entry.shape, band, key), ()))

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import sys
 from array import array
 from dataclasses import dataclass
 
@@ -47,24 +48,46 @@ _MASK64 = (1 << 64) - 1
 #: is no observed behavior to agree on).
 EMPTY_ROW = _MASK64
 
+#: Bits per lane when a token's rows are packed into one Python int: a
+#: row's 64 bits plus room for the product of a 64-bit multiply, so no
+#: carry reaches the next lane.
+_LANE_BITS = 128
 
-def _blake64(data: bytes, *, salt: bytes = b"") -> int:
-    """A stable 64-bit hash (keyed blake2b, cross-process deterministic)."""
-    return int.from_bytes(
-        hashlib.blake2b(data, digest_size=8, key=salt[:64]).digest(), "big"
-    )
+_BIG_ENDIAN = sys.byteorder == "big"
+
+#: splitmix64's constants.
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+def _keyed(salt: bytes) -> "hashlib.blake2b":
+    """A keyed 8-byte blake2b to ``.copy()`` per hash: the key block is
+    compressed once here rather than once per hash."""
+    return hashlib.blake2b(digest_size=8, key=salt[:64])
+
+
+def _digest64(keyed: "hashlib.blake2b", data: bytes) -> int:
+    """A stable 64-bit hash of ``data`` under a :func:`_keyed` prototype
+    (cross-process deterministic)."""
+    hasher = keyed.copy()
+    hasher.update(data)
+    return int.from_bytes(hasher.digest(), "big")
+
+
+_BEHAVIOR_KEYED = _keyed(b"repro-behavior")
+_INPUT_KEYED = _keyed(b"repro-inputs")
 
 
 def _mix64(value: int) -> int:
     """splitmix64 finalizer: cheap, high-quality 64-bit mixing.
 
-    Used to derive the per-row permutations of one token hash without
-    paying a blake2b call per (token, row) pair — the blake2b base hash
-    supplies the entropy, the mixer just decorrelates the rows.
+    Derives the per-row offsets; :meth:`MinHashRows.mix` applies the same
+    steps to every row of a token at once.
     """
-    value = (value + 0x9E3779B97F4A7C15) & _MASK64
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
+    value = (value + _GOLDEN) & _MASK64
+    value = ((value ^ (value >> 30)) * _MIX1) & _MASK64
+    value = ((value ^ (value >> 27)) * _MIX2) & _MASK64
     return value ^ (value >> 31)
 
 
@@ -76,11 +99,11 @@ def _payloads(bindings) -> str:
 
 def _behavior_hash(inputs: str, outputs: str) -> int:
     document = f'{{"in": {inputs}, "out": {outputs}}}'
-    return _blake64(document.encode("utf-8"), salt=b"repro-behavior")
+    return _digest64(_BEHAVIOR_KEYED, document.encode("utf-8"))
 
 
 def _input_hash(inputs: str) -> int:
-    return _blake64(inputs.encode("utf-8"), salt=b"repro-inputs")
+    return _digest64(_INPUT_KEYED, inputs.encode("utf-8"))
 
 
 def behavior_token(example: DataExample) -> int:
@@ -149,8 +172,11 @@ class SignatureConfig:
             one common band with probability ``1 - (1 - s^rows)^bands``
             — more bands (fewer rows each) catches weaker overlaps at
             the cost of more false candidates.
-        seed: Salts every hash, so independent indexes with different
-            seeds make independent banding decisions.
+        seed: Salts each token's minhash base hash, so independent
+            indexes with different seeds permute differently and make
+            independent banding decisions.  Behavior and input tokens
+            are not salted by it, and band keys are keyed by the band's
+            index alone.
     """
 
     width: int = 64
@@ -204,32 +230,94 @@ class MinHashSignature:
         return agree / len(self.values)
 
 
+def _band_prototypes(config: SignatureConfig) -> "tuple[hashlib.blake2b, ...]":
+    """One keyed hash prototype per LSH band (keyed by the band index)."""
+    return tuple(
+        _keyed(f"repro-band-{band}".encode()) for band in range(config.bands)
+    )
+
+
 class MinHashRows:
     """The permuted minhash rows of each distinct behavior token, for one
-    :class:`SignatureConfig`, computed on a token's first use.
+    :class:`SignatureConfig`, computed on a token's first use, plus the
+    config's keyed hash prototypes.
 
     A token's rows are one blake2b base hash (salted by ``config.seed``)
-    spread over ``config.width`` rows by the splitmix64 mixer, stored as
-    an ``array('Q')`` (about 0.6 KB per token at the default width).  A
-    signature is the element-wise minimum over its tokens' rows, so a
-    token shared by many modules is hashed and mixed once.  Each
+    spread over ``config.width`` rows by the splitmix64 mixer.  They are
+    kept packed in one Python int, row ``r`` in the low 64 bits of the
+    128-bit lane at bit ``128 * r`` (about 1.1 KB per token at the default
+    width), so the mixer and the element-wise minimum each run as a few
+    big-integer operations over all rows at once.  A signature is the
+    element-wise minimum over its tokens' rows, so a token shared by many
+    modules is hashed and mixed once.  Each
     :class:`~repro.match.index.SignatureIndex` owns one and frees it with
     the index; nothing is shared between indexes or runs.
     """
 
     def __init__(self, config: SignatureConfig) -> None:
         self.config = config
-        self._salt = f"repro-minhash-{config.seed}".encode()
-        self._offsets = [_mix64(row + 1) for row in range(config.width)]
-        self._rows: "dict[int, array[int]]" = {}
+        lanes = range(config.width)
+        #: 1 in the low bit of every lane; ``value * _ones`` copies a
+        #: 64-bit value into every lane.
+        self._ones = sum(1 << (_LANE_BITS * lane) for lane in lanes)
+        self._low = self._ones * _MASK64
+        self._bit64 = self._ones << 64
+        self._golden = self._ones * _GOLDEN
+        self._offsets = sum(
+            _mix64(lane + 1) << (_LANE_BITS * lane) for lane in lanes
+        )
+        self._keyed = _keyed(f"repro-minhash-{config.seed}".encode())
+        self._band_keyed = _band_prototypes(config)
+        self._lanes: "dict[int, int]" = {}
 
-    def rows(self, token: int) -> "array[int]":
-        rows = self._rows.get(token)
-        if rows is None:
-            base = _blake64(token.to_bytes(8, "big"), salt=self._salt)
-            rows = array("Q", [_mix64(base ^ offset) for offset in self._offsets])
-            self._rows[token] = rows
-        return rows
+    def mix(self, base: int) -> int:
+        """The packed rows of one 64-bit base hash: row ``r`` is
+        ``_mix64(base ^ _mix64(r + 1))``.
+
+        Each splitmix64 step runs lane-wise.  Every lane is cut back to 64
+        bits after each add and multiply and before each shift, so a
+        carry, a product's high half or the bits a shift pulls down from
+        the next lane never reach a row.
+        """
+        low = self._low
+        value = ((base * self._ones ^ self._offsets) + self._golden) & low
+        value = ((value ^ (value >> 30)) & low) * _MIX1 & low
+        value = ((value ^ (value >> 27)) & low) * _MIX2 & low
+        return (value ^ (value >> 31)) & low
+
+    def lanes(self, token: int) -> int:
+        """``token``'s packed rows (memoized)."""
+        lanes = self._lanes.get(token)
+        if lanes is None:
+            lanes = self.mix(_digest64(self._keyed, token.to_bytes(8, "big")))
+            self._lanes[token] = lanes
+        return lanes
+
+    def minimum(self, left: int, right: int) -> int:
+        """The lane-wise minimum of two packed row sets.
+
+        Lane by lane, ``(left | 2**64) - right`` keeps bit 64 exactly when
+        ``left >= right`` and never borrows from the next lane; that bit
+        selects ``right``'s row.
+        """
+        right_wins = (((left | self._bit64) - right) >> 64) & self._ones
+        return left ^ ((left ^ right) & (right_wins * _MASK64))
+
+    def unpack(self, lanes: int) -> "tuple[int, ...]":
+        """The row values of a packed row set, in row order."""
+        words = array("Q", lanes.to_bytes(16 * self.config.width, "little"))
+        if _BIG_ENDIAN:
+            words.byteswap()
+        return tuple(words[::2])
+
+    def signature_values(self, tokens: "frozenset[int]") -> "tuple[int, ...]":
+        """The element-wise minimum of the (non-empty) tokens' rows."""
+        lanes, minimum = self.lanes, self.minimum
+        tokens = iter(tokens)
+        low = lanes(next(tokens))
+        for token in tokens:
+            low = minimum(low, lanes(token))
+        return self.unpack(low)
 
 
 def compute_signature(
@@ -243,8 +331,9 @@ def compute_signature(
 
     Each distinct behavior token is hashed once (blake2b, salted by
     ``config.seed``); the per-row permuted values are then derived with
-    the splitmix64 mixer, so cost is O(tokens + tokens·width integer
-    mixes) rather than O(tokens·width) cryptographic hashes.
+    the splitmix64 mixer over all rows at once (:meth:`MinHashRows.mix`),
+    so cost is O(tokens) hashes and big-integer operations rather than
+    O(tokens·width) cryptographic hashes.
 
     Args:
         tokens: The examples' behavior tokens when the caller already
@@ -261,26 +350,38 @@ def compute_signature(
         rows = MinHashRows(config)
     elif rows.config != config:
         raise ValueError(f"row memo is for {rows.config}, not {config}")
-    values = tuple(map(min, zip(*map(rows.rows, tokens))))
-    return MinHashSignature(values=values, n_tokens=len(tokens))
+    return MinHashSignature(
+        values=rows.signature_values(tokens), n_tokens=len(tokens)
+    )
 
 
 def band_keys(
-    signature: MinHashSignature, config: SignatureConfig
+    signature: MinHashSignature,
+    config: SignatureConfig,
+    *,
+    rows: "MinHashRows | None" = None,
 ) -> "tuple[int, ...]":
-    """The LSH bucket key of each band: a stable hash of the band's rows.
+    """The LSH bucket key of each band: a stable hash of the band's rows,
+    keyed by the band's index.
 
     Empty signatures get no keys at all — a module without examples
     must never bucket with anything.
+
+    Args:
+        rows: A :class:`MinHashRows` for ``config`` whose band hash
+            prototypes to use; they are built for this call when omitted.
     """
     if signature.is_empty:
         return ()
+    if rows is None:
+        keyed = _band_prototypes(config)
+    elif rows.config != config:
+        raise ValueError(f"row memo is for {rows.config}, not {config}")
+    else:
+        keyed = rows._band_keyed
     packed = struct.pack(f">{len(signature.values)}Q", *signature.values)
     step = 8 * config.rows_per_band
     return tuple(
-        _blake64(
-            packed[band * step : (band + 1) * step],
-            salt=f"repro-band-{band}".encode(),
-        )
-        for band in range(config.bands)
+        _digest64(prototype, packed[band * step : (band + 1) * step])
+        for band, prototype in enumerate(keyed)
     )

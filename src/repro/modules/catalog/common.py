@@ -14,6 +14,7 @@ entities and unsupported input kinds with abnormal termination.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.biodb.accessions import scheme_for
@@ -117,6 +118,41 @@ def valid_accession(parameter: str, concept: str):
     return guard
 
 
+class AccessionSchemes:
+    """The accession schemes of several identifier concepts, tried in
+    order: one compiled alternation with one group per concept.
+
+    ``concept_of(value)`` is the first concept whose scheme ``value`` is
+    well-formed under (``None`` when none is, or when ``value`` is not a
+    string) — what trying each ``scheme_for(concept).is_valid`` in turn
+    gives, in one regex call.
+    """
+
+    def __init__(self, concepts: "tuple[str, ...]") -> None:
+        self.concepts = tuple(concepts)
+        self._regex = re.compile(
+            "|".join(f"({scheme_for(concept).pattern})" for concept in self.concepts)
+        )
+        if self._regex.groups != len(self.concepts):
+            raise ValueError(f"a scheme pattern of {self.concepts} has its own groups")
+
+    def concept_of(self, value: object) -> "str | None":
+        if not isinstance(value, str):
+            return None
+        match = self._regex.fullmatch(value)
+        return None if match is None else self.concepts[match.lastindex - 1]
+
+    def guard(self, parameter: str):
+        """Guard: the value of ``parameter`` is well-formed under one of
+        the schemes."""
+
+        def guard(_ctx: ModuleContext, inputs: dict[str, TypedValue]) -> bool:
+            value = inputs.get(parameter)
+            return value is not None and self.concept_of(value.payload) is not None
+
+        return guard
+
+
 def sequence_kind(parameter: str, kinds: "tuple[str, ...]"):
     """Guard: the sequence value classifies into one of ``kinds``."""
 
@@ -168,15 +204,6 @@ def text_startswith(parameter: str, prefix: str):
             and isinstance(value.payload, str)
             and value.payload.startswith(prefix)
         )
-
-    return guard
-
-
-def any_of(*guards):
-    """Disjunction of guards."""
-
-    def guard(ctx: ModuleContext, inputs: dict[str, TypedValue]) -> bool:
-        return any(g(ctx, inputs) for g in guards)
 
     return guard
 

@@ -21,7 +21,6 @@ sources").  Three sub-populations:
 
 from __future__ import annotations
 
-from repro.biodb.accessions import scheme_for
 from repro.biodb.entities import (
     Compound,
     Enzyme,
@@ -36,8 +35,8 @@ from repro.biodb.entities import (
 )
 from repro.modules.behavior import Branch
 from repro.modules.catalog.common import (
+    AccessionSchemes,
     ModuleRow,
-    any_of,
     assemble,
     resolve_or_invalid,
     valid_accession,
@@ -282,21 +281,22 @@ def _normalizing_map_row(
     schemes are resolved to the same entity and mapped identically — one
     class over two partitions (conciseness 0.5)."""
     structural = LIST_STRING if many else STRING
+    schemes = AccessionSchemes(child_concepts)
 
     def transform(ctx: ModuleContext, inputs: dict[str, TypedValue]):
         accession = inputs["id"].payload
-        for child in child_concepts:
-            if scheme_for(child).is_valid(accession):
-                entity = resolve_or_invalid(ctx, child, accession)
-                refs = _xrefs(ctx, entity, dst_concept)
-                if many:
-                    return {
-                        "mapped": TypedValue(tuple(refs), LIST_STRING, dst_concept)
-                    }
-                if not refs:
-                    raise InvalidInputError(f"{module_id}: no mapping")
-                return {"mapped": TypedValue(refs[0], STRING, dst_concept)}
-        raise InvalidInputError(f"{module_id}: unrecognized accession {accession!r}")
+        child = schemes.concept_of(accession)
+        if child is None:
+            raise InvalidInputError(
+                f"{module_id}: unrecognized accession {accession!r}"
+            )
+        entity = resolve_or_invalid(ctx, child, accession)
+        refs = _xrefs(ctx, entity, dst_concept)
+        if many:
+            return {"mapped": TypedValue(tuple(refs), LIST_STRING, dst_concept)}
+        if not refs:
+            raise InvalidInputError(f"{module_id}: no mapping")
+        return {"mapped": TypedValue(refs[0], STRING, dst_concept)}
 
     return ModuleRow(
         module_id=module_id,
@@ -306,9 +306,7 @@ def _normalizing_map_row(
         branches=(
             Branch(
                 label=f"map-any-to-{dst_concept}",
-                guard=any_of(
-                    *(valid_accession("id", child) for child in child_concepts)
-                ),
+                guard=schemes.guard("id"),
                 transform=transform,
             ),
         ),
@@ -347,19 +345,20 @@ def _link_row(
 
     def branch_for(family: str, concepts: tuple[str, ...]) -> Branch:
         target = targets[family]
+        schemes = AccessionSchemes(concepts)
 
         def transform(ctx: ModuleContext, inputs: dict[str, TypedValue]):
             accession = inputs["id"].payload
-            for concept in concepts:
-                if scheme_for(concept).is_valid(accession):
-                    entity = resolve_or_invalid(ctx, concept, accession)
-                    refs = _xrefs(ctx, entity, target)
-                    return {"links": TypedValue(tuple(refs), LIST_STRING, target)}
-            raise InvalidInputError(f"{module_id}: unrecognized accession")
+            concept = schemes.concept_of(accession)
+            if concept is None:
+                raise InvalidInputError(f"{module_id}: unrecognized accession")
+            entity = resolve_or_invalid(ctx, concept, accession)
+            refs = _xrefs(ctx, entity, target)
+            return {"links": TypedValue(tuple(refs), LIST_STRING, target)}
 
         return Branch(
             label=f"link-{family}",
-            guard=any_of(*(valid_accession("id", c) for c in concepts)),
+            guard=schemes.guard("id"),
             transform=transform,
         )
 
@@ -379,15 +378,16 @@ def _link_row(
 def _organism_normalizer_row() -> ModuleRow:
     """``NormalizeOrganism``: taxon id or Latin name in, taxon id out —
     one class over the two OrganismIdentifier partitions."""
+    schemes = AccessionSchemes(("NCBITaxonId", "ScientificOrganismName"))
 
     def transform(ctx: ModuleContext, inputs: dict[str, TypedValue]):
         payload = inputs["id"].payload
-        for concept in ("NCBITaxonId", "ScientificOrganismName"):
-            if scheme_for(concept).is_valid(payload):
-                organism = resolve_or_invalid(ctx, concept, payload)
-                taxon = ctx.universe.taxon_for_organism(organism)
-                return {"mapped": TypedValue(taxon, STRING, "NCBITaxonId")}
-        raise InvalidInputError(f"unrecognized organism {payload!r}")
+        concept = schemes.concept_of(payload)
+        if concept is None:
+            raise InvalidInputError(f"unrecognized organism {payload!r}")
+        organism = resolve_or_invalid(ctx, concept, payload)
+        taxon = ctx.universe.taxon_for_organism(organism)
+        return {"mapped": TypedValue(taxon, STRING, "NCBITaxonId")}
 
     return ModuleRow(
         module_id="map.normalize_organism",
@@ -397,10 +397,7 @@ def _organism_normalizer_row() -> ModuleRow:
         branches=(
             Branch(
                 "normalize-organism",
-                any_of(
-                    valid_accession("id", "NCBITaxonId"),
-                    valid_accession("id", "ScientificOrganismName"),
-                ),
+                schemes.guard("id"),
                 transform,
             ),
         ),

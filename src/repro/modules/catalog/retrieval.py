@@ -24,8 +24,8 @@ from repro.biodb import formats, records
 from repro.biodb.sequences import transcribe
 from repro.modules.behavior import Branch
 from repro.modules.catalog.common import (
+    AccessionSchemes,
     ModuleRow,
-    any_of,
     assemble,
     resolve_or_invalid,
     valid_accession,
@@ -171,21 +171,20 @@ def _multi_scheme_retrieval(
     """A retrieval module annotated at a parent identifier concept that
     normalizes both child schemes into the same record — one behavior
     class over two ontology partitions (Table 2's 0.5 bucket)."""
+    schemes = AccessionSchemes(child_concepts)
 
     def transform(ctx: ModuleContext, inputs: dict[str, TypedValue]):
-        from repro.biodb.accessions import scheme_for
-
         accession = inputs["id"].payload
-        for child in child_concepts:
-            if scheme_for(child).is_valid(accession):
-                entity = resolve_or_invalid(ctx, child, accession)
-                # Normalize: whatever scheme the id came in, the record is
-                # rendered in the primary scheme's canonical form.
-                fields = _FIELDS[child_concepts[0]](ctx.universe, entity)
-                return {
-                    "record": TypedValue(_render(fmt, fields), fmt, record_concept)
-                }
-        raise InvalidInputError(f"{module_id}: unrecognized accession {accession!r}")
+        child = schemes.concept_of(accession)
+        if child is None:
+            raise InvalidInputError(
+                f"{module_id}: unrecognized accession {accession!r}"
+            )
+        entity = resolve_or_invalid(ctx, child, accession)
+        # Normalize: whatever scheme the id came in, the record is
+        # rendered in the primary scheme's canonical form.
+        fields = _FIELDS[child_concepts[0]](ctx.universe, entity)
+        return {"record": TypedValue(_render(fmt, fields), fmt, record_concept)}
 
     return ModuleRow(
         module_id=module_id,
@@ -195,9 +194,7 @@ def _multi_scheme_retrieval(
         branches=(
             Branch(
                 label=f"retrieve-any-{record_concept}",
-                guard=any_of(
-                    *(valid_accession("id", child) for child in child_concepts)
-                ),
+                guard=schemes.guard("id"),
                 transform=transform,
             ),
         ),

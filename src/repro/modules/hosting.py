@@ -176,20 +176,3 @@ class ServiceBus:
         """Summed wall-clock service time across the whole log."""
         with self._lock:
             return sum(record.duration_ms for record in self._log)
-
-    #: Error class names that signal provider unavailability (the base
-    #: error plus the engine's ModuleUnavailableError subclasses).
-    _UNAVAILABLE_ERRORS = frozenset(
-        {"ModuleUnavailableError", "InjectedFaultError", "DeadlineExceededError"}
-    )
-
-    def providers_seen_failing(self) -> tuple[str, ...]:
-        """Providers whose endpoints returned unavailability errors —
-        the signal a decay monitor watches for."""
-        with self._lock:
-            failing = {
-                self._by_address[record.address].provider
-                for record in self._log
-                if record.error in self._UNAVAILABLE_ERRORS
-            }
-        return tuple(sorted(failing))

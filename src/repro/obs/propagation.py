@@ -43,9 +43,6 @@ from repro.obs.tracing import ambient_span_attributes
 #: must not be able to bloat either with kilobyte ids.
 TRACE_ID_MAX_LEN = 64
 
-#: W3C trace-context version this module emits.
-TRACEPARENT_VERSION = "00"
-
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
 
@@ -123,17 +120,6 @@ class TraceContext:
     # ------------------------------------------------------------------
     # Wire forms
     # ------------------------------------------------------------------
-    def to_traceparent(self) -> str:
-        """The W3C ``traceparent`` header value.
-
-        The trace id is zero-padded to the 32 hex chars the spec
-        requires; the parent span id likewise to 16.
-        """
-        trace = (self.trace_id or "0")[-32:].rjust(32, "0")
-        parent = (self.parent_span_id or "0")[-16:].rjust(16, "0")
-        flags = "01" if self.sampled else "00"
-        return f"{TRACEPARENT_VERSION}-{trace}-{parent}-{flags}"
-
     def to_dict(self) -> dict:
         """Picklable/JSON form for the spawn boundary."""
         return {

@@ -109,4 +109,7 @@ class TestDecayVisibility:
         shut_down_providers(decayed, DECAYED_PROVIDERS)
         with pytest.raises(ModuleUnavailableError):
             bus.call(address_of(twin), {"id": pool.get_instance("KEGGGeneId")})
-        assert "KEGG-SOAP" in bus.providers_seen_failing()
+        record = bus.calls_to(twin.module_id)[-1]
+        assert not record.succeeded
+        assert record.error == "ModuleUnavailableError"
+        assert bus.resolve(record.address).provider == "KEGG-SOAP"
