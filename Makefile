@@ -76,11 +76,12 @@ bench-obs:
 	$(PYTHON) benchmarks/bench_obs.py
 
 # Matching acceptance smoke (the CI match-smoke job): the match/ unit
-# and property tests (the lane-parallel minhash rows against their
-# scalar oracles among them), the canonical and wire encoders'
-# byte-identity tests (tokens and keys are hashed from their bytes),
-# and the tests of each layer a verify invocation crosses: the engine
-# accounting's and the cache's equivalence with their oracles,
+# and property tests (the lane-parallel minhash rows and the flat
+# bucket tables against their scalar oracles among them), the
+# canonical and wire encoders' byte-identity tests (tokens are hashed
+# from their bytes), and the tests of each layer a verify invocation
+# crosses: the engine accounting's and the cache's equivalence with
+# their oracles,
 # structural type lookup in the wire decoder, compare_behavior's
 # pinned equality, and the wire layer's fast paths (the one-pass SOAP
 # envelope scan, the direct JSON scan, the compiled accession guards
@@ -101,8 +102,9 @@ match-smoke:
 		tests/test_match_builder.py tests/test_match_repair.py \
 		tests/test_match_cli.py tests/test_match_exactness.py \
 		tests/test_match_sketch.py tests/test_match_lanes.py \
-		tests/test_values_canonical.py tests/test_accession_schemes.py \
-		tests/test_wire_encoding.py tests/test_engine_telemetry.py \
+		tests/test_index_tables.py tests/test_values_canonical.py \
+		tests/test_accession_schemes.py tests/test_wire_encoding.py \
+		tests/test_engine_telemetry.py \
 		tests/test_engine_cache_model.py tests/test_structural_lookup.py \
 		tests/test_matching_equality.py tests/test_wire_fastpaths.py \
 		tests/test_repair.py tests/test_ground_truth_guard.py \

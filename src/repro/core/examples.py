@@ -43,28 +43,6 @@ class DataExample:
     inputs: tuple[Binding, ...]
     outputs: tuple[Binding, ...]
 
-    def input_value(self, parameter: str) -> TypedValue:
-        """The value bound to input ``parameter``.
-
-        Raises:
-            KeyError: If no such input binding exists.
-        """
-        for binding in self.inputs:
-            if binding.parameter == parameter:
-                return binding.value
-        raise KeyError(parameter)
-
-    def output_value(self, parameter: str) -> TypedValue:
-        """The value bound to output ``parameter``.
-
-        Raises:
-            KeyError: If no such output binding exists.
-        """
-        for binding in self.outputs:
-            if binding.parameter == parameter:
-                return binding.value
-        raise KeyError(parameter)
-
     def input_partitions(self) -> tuple[str | None, ...]:
         """The partition each input value covers, in input order."""
         return tuple(binding.partition for binding in self.inputs)

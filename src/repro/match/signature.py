@@ -36,9 +36,10 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from repro.core.examples import DataExample
-from repro.values.canonical import sorted_payloads_json
+from repro.values.canonical import payload_json, sorted_payloads_json
 
 _MASK64 = (1 << 64) - 1
 
@@ -94,6 +95,10 @@ def _mix64(value: int) -> int:
 def _payloads(bindings) -> str:
     """The canonical JSON array of one example side's payloads — names,
     order and concepts erased."""
+    if len(bindings) == 1:
+        # Most sides bind one parameter: nothing to sort or join, the
+        # same bytes as :func:`sorted_payloads_json` of a one-item list.
+        return "[" + _quote(payload_json(bindings[0].value.payload)) + "]"
     return sorted_payloads_json(b.value.payload for b in bindings)
 
 
@@ -175,8 +180,7 @@ class SignatureConfig:
         seed: Salts each token's minhash base hash, so independent
             indexes with different seeds permute differently and make
             independent banding decisions.  Behavior and input tokens
-            are not salted by it, and band keys are keyed by the band's
-            index alone.
+            are not salted by it, and band keys are the band's rows.
     """
 
     width: int = 64
@@ -230,17 +234,9 @@ class MinHashSignature:
         return agree / len(self.values)
 
 
-def _band_prototypes(config: SignatureConfig) -> "tuple[hashlib.blake2b, ...]":
-    """One keyed hash prototype per LSH band (keyed by the band index)."""
-    return tuple(
-        _keyed(f"repro-band-{band}".encode()) for band in range(config.bands)
-    )
-
-
 class MinHashRows:
     """The permuted minhash rows of each distinct behavior token, for one
-    :class:`SignatureConfig`, computed on a token's first use, plus the
-    config's keyed hash prototypes.
+    :class:`SignatureConfig`, computed on a token's first use.
 
     A token's rows are one blake2b base hash (salted by ``config.seed``)
     spread over ``config.width`` rows by the splitmix64 mixer.  They are
@@ -267,7 +263,6 @@ class MinHashRows:
             _mix64(lane + 1) << (_LANE_BITS * lane) for lane in lanes
         )
         self._keyed = _keyed(f"repro-minhash-{config.seed}".encode())
-        self._band_keyed = _band_prototypes(config)
         self._lanes: "dict[int, int]" = {}
 
     def mix(self, base: int) -> int:
@@ -356,32 +351,20 @@ def compute_signature(
 
 
 def band_keys(
-    signature: MinHashSignature,
-    config: SignatureConfig,
-    *,
-    rows: "MinHashRows | None" = None,
-) -> "tuple[int, ...]":
-    """The LSH bucket key of each band: a stable hash of the band's rows,
-    keyed by the band's index.
+    signature: MinHashSignature, config: SignatureConfig
+) -> "tuple[bytes, ...]":
+    """The LSH bucket key of each band: the band's rows, packed big-endian
+    (``8 * config.rows_per_band`` bytes).
 
-    Empty signatures get no keys at all — a module without examples
-    must never bucket with anything.
-
-    Args:
-        rows: A :class:`MinHashRows` for ``config`` whose band hash
-            prototypes to use; they are built for this call when omitted.
+    Equal rows give equal keys and unequal rows never share one.  Keys
+    of different bands may be equal; the index keeps one bucket table
+    per band, so they never meet.  Empty signatures get no keys at all —
+    a module without examples must never bucket with anything.
     """
     if signature.is_empty:
         return ()
-    if rows is None:
-        keyed = _band_prototypes(config)
-    elif rows.config != config:
-        raise ValueError(f"row memo is for {rows.config}, not {config}")
-    else:
-        keyed = rows._band_keyed
     packed = struct.pack(f">{len(signature.values)}Q", *signature.values)
     step = 8 * config.rows_per_band
     return tuple(
-        _digest64(prototype, packed[band * step : (band + 1) * step])
-        for band, prototype in enumerate(keyed)
+        packed[start : start + step] for start in range(0, len(packed), step)
     )

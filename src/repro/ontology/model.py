@@ -40,6 +40,9 @@ class Ontology:
         self._ancestors: dict[str, frozenset[str]] = self._close_ancestors()
         self._descendants: dict[str, frozenset[str]] = self._close_descendants()
         self._depth: dict[str, int] = self._compute_depths()
+        #: ``partitions_of`` answers per ``(name, max_depth)``: the DAG
+        #: never changes after construction.
+        self._partitions: dict[tuple[str, int | None], tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -185,13 +188,18 @@ class Ontology:
                 by the partitioning-depth ablation); ``None`` descends to
                 the leaves.
         """
+        partitions = self._partitions.get((name, max_depth))
+        if partitions is not None:
+            return partitions
         if name not in self._concepts:
             raise KeyError(name)
         members = {name} | set(self._descendants[name])
         if max_depth is not None:
             base = self._depth[name]
             members = {m for m in members if self._depth[m] - base <= max_depth}
-        return tuple(n for n in self._order if n in members)
+        partitions = tuple(n for n in self._order if n in members)
+        self._partitions[(name, max_depth)] = partitions
+        return partitions
 
     def most_specific(self, names: Iterable[str]) -> tuple[str, ...]:
         """Of ``names``, keep only those not strictly subsuming another."""

@@ -19,16 +19,6 @@ def example():
 
 
 class TestDataExample:
-    def test_input_value_lookup(self, example):
-        assert example.input_value("id").payload == "P10000"
-        with pytest.raises(KeyError):
-            example.input_value("nope")
-
-    def test_output_value_lookup(self, example):
-        assert example.output_value("record").payload == "REC"
-        with pytest.raises(KeyError):
-            example.output_value("nope")
-
     def test_input_partitions(self, example):
         assert example.input_partitions() == ("UniProtAccession",)
 

@@ -107,7 +107,8 @@ class TestGeneration:
     def test_examples_record_outputs(self, generator, catalog_by_id):
         report = generator.generate(catalog_by_id["an.translate_dna"])
         example = report.examples[0]
-        assert example.output_value("result").concept == "ProteinSequence"
+        [result] = [b.value for b in example.outputs if b.parameter == "result"]
+        assert result.concept == "ProteinSequence"
 
     def test_unrealized_partition_reported(self, ctx, catalog_by_id):
         from repro.pool.pool import InstancePool

@@ -101,15 +101,17 @@ def ref_signature(examples, config):
 
 
 def ref_band_keys(values, n_tokens, config):
+    """Each band's key is its rows, 8 big-endian bytes per row."""
     if n_tokens == 0:
         return ()
     rows = config.rows_per_band
-    keys = []
-    for band in range(config.bands):
-        chunk = values[band * rows : (band + 1) * rows]
-        document = b"".join(value.to_bytes(8, "big") for value in chunk)
-        keys.append(ref_blake64(document, f"repro-band-{band}".encode()))
-    return tuple(keys)
+    return tuple(
+        b"".join(
+            value.to_bytes(8, "big")
+            for value in values[band * rows : (band + 1) * rows]
+        )
+        for band in range(config.bands)
+    )
 
 
 # ----------------------------------------------------------------------

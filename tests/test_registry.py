@@ -113,7 +113,9 @@ class TestSqlitePersistence:
         registry.attach_examples("an.identify", examples["an.identify"])
         save_registry(registry, tmp_path / "r.db")
         restored = load_examples(tmp_path / "r.db")
-        masses = restored["an.identify"][0].input_value("masses")
+        [masses] = [
+            b.value for b in restored["an.identify"][0].inputs if b.parameter == "masses"
+        ]
         assert isinstance(masses.payload, tuple)
         assert masses.structural.is_list
 
